@@ -33,11 +33,6 @@ let write_json ~out j =
   close_out oc;
   Printf.printf "wrote %s\n" out
 
-(* Budget telemetry renders itself to JSON text; lift it into a value
-   so it nests in an artifact without double encoding. *)
-let telemetry_json tj =
-  match Json.parse tj with Ok j -> j | Error _ -> Json.Str tj
-
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -1355,8 +1350,9 @@ let robustness_suite ~out ~seeds () =
                 None)
             programs)
     in
-    Printf.printf "budget %-8s %s\n" rname (Omega.Budget.Telemetry.summary ());
-    (rname, outcomes, Omega.Budget.Telemetry.to_json ())
+    let m = Omega.Metrics.current () in
+    Printf.printf "budget %-8s %s\n" rname (Omega.Budget.summary m);
+    (rname, outcomes, Json.Obj (Json.of_metrics ~under:"solver" m))
   in
   let rung_rows = List.map sweep rungs in
   let clean =
@@ -1410,9 +1406,10 @@ let robustness_suite ~out ~seeds () =
                     sub "live set (clean within faulty)" cl.ro_live
                       faulty.ro_live))
               programs;
+            let m = Omega.Metrics.current () in
             let injected =
-              (Omega.Budget.Telemetry.current ())
-                .Omega.Budget.Telemetry.gave_up_injected
+              Omega.Metrics.count m
+                (Omega.Budget.gave_up_counter Omega.Budget.Injected)
             in
             if injected = 0 then
               violate "seed %d: fault injection never fired" seed;
@@ -1444,8 +1441,8 @@ let robustness_suite ~out ~seeds () =
                     pname seed)
               [ "temp_reuse"; "copyin"; "kill_chain" ];
             Printf.printf "fault seed %-6d rate %.2f: %s\n" seed rate
-              (Omega.Budget.Telemetry.summary ());
-            (seed, injected, Omega.Budget.Telemetry.to_json ())))
+              (Omega.Budget.summary m);
+            (seed, injected, Json.Obj (Json.of_metrics ~under:"solver" m))))
       seeds
   in
   Analyses.Memo.reset ();
@@ -1467,7 +1464,7 @@ let robustness_suite ~out ~seeds () =
                   Json.Obj
                     [
                       ("budget", Json.Str rname);
-                      ("telemetry", telemetry_json tj);
+                      ("telemetry", tj);
                     ])
                 rung_rows) );
          ( "seeds",
@@ -1478,7 +1475,7 @@ let robustness_suite ~out ~seeds () =
                     [
                       ("seed", Json.Int seed);
                       ("injected", Json.Int injected);
-                      ("telemetry", telemetry_json tj);
+                      ("telemetry", tj);
                     ])
                 seed_rows) );
          ("violations", Json.List (List.map (fun v -> Json.Str v) !violations));
@@ -1812,10 +1809,12 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
   Printf.printf "%-20s %12.2f %12.2f %8.2f\n" "whole corpus" (ms corpus_abl)
     (ms corpus_opt) corpus_speedup;
   (* solver counters for one optimized corpus pass, reported for context *)
-  Omega.Tuning.Stats.reset ();
-  under cfg_opt (fun () ->
-      List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects);
-  let stats_line = Omega.Tuning.Stats.summary () in
+  let (), counted =
+    Omega.Metrics.scoped (fun () ->
+        under cfg_opt (fun () ->
+            List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects))
+  in
+  let stats_line = Omega.Tuning.summary counted in
   Printf.printf
     "\ngeomean whole-corpus analysis speedup: %.2fx over the fully-ablated \
      baseline\n(per-program geomean: %.2fx)\nsolver (optimized corpus pass): \
@@ -1910,14 +1909,14 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
   cascade (fun () ->
       under cfg_opt (fun () ->
           List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects));
-  let tiers = Portfolio.Stats.current () in
-  let trate (r : Portfolio.Stats.row) =
+  let tiers = Omega.Metrics.current () in
+  let tier0_decide_fraction =
+    let r = (Portfolio.Stats.current ()).Portfolio.Stats.screen in
     if r.Portfolio.Stats.attempts = 0 then 0.
     else
       float_of_int r.Portfolio.Stats.decides
       /. float_of_int r.Portfolio.Stats.attempts
   in
-  let tier0_decide_fraction = trate tiers.Portfolio.Stats.screen in
   Printf.printf
     "\nportfolio: cascade corpus %8.1f ms vs tier-2-only %8.1f ms (%.2fx \
      speedup)\noracle: %d cross-backend checks, %d contradictions; payloads \
@@ -1928,17 +1927,8 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
     oracle_checks
     (List.length oracle_bad)
     !payloads_identical
-    (Portfolio.Stats.summary ())
+    (Portfolio.summary tiers)
     (100. *. tier0_decide_fraction);
-  let tier_json (r : Portfolio.Stats.row) =
-    Json.Obj
-      [
-        ("attempts", Json.Int r.Portfolio.Stats.attempts);
-        ("decides", Json.Int r.Portfolio.Stats.decides);
-        ("decide_rate", jf (trate r));
-        ("ms", jf (ms r.Portfolio.Stats.elapsed));
-      ]
-  in
   let portfolio_json =
     Json.Obj
       [
@@ -1949,14 +1939,7 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
         ("oracle_divergences", Json.Int (List.length oracle_bad));
         ("payloads_identical", Json.Bool !payloads_identical);
         ("tier0_decide_fraction", jf tier0_decide_fraction);
-        ( "tiers",
-          Json.Obj
-            [
-              ("quick", tier_json tiers.Portfolio.Stats.quick);
-              ("screen", tier_json tiers.Portfolio.Stats.screen);
-              ("fast", tier_json tiers.Portfolio.Stats.fast);
-              ("complete", tier_json tiers.Portfolio.Stats.complete);
-            ] );
+        ("tiers", Json.Obj (Json.of_metrics ~under:"tiers" tiers));
       ]
   in
   (* --- per-flag ablation rows: each optimization off on its own --- *)
@@ -2016,14 +1999,40 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
       let (serial_out, serial_pairs), t_serial = pass () in
       Par.set_domains n;
       let (par_out, par_pairs), t_par = pass () in
-      (* per-domain memo traffic over one sharded corpus pass *)
+      (* per-domain memo traffic over one sharded corpus pass: each item
+         counts under its own registry, tagged with the domain it ran on *)
       Analyses.Memo.reset ();
-      under cfg_opt (fun () ->
-          ignore
-            (Par.map_list
-               (fun s -> ignore (Driver.analyze s.as_prog))
-               subjects));
-      let by_domain = Analyses.Memo.domain_stats () in
+      let tagged =
+        under cfg_opt (fun () ->
+            Par.map_list
+              (fun s ->
+                let (), m =
+                  Omega.Metrics.scoped (fun () ->
+                      ignore (Driver.analyze s.as_prog))
+                in
+                ((Domain.self () :> int), m))
+              subjects)
+      in
+      let by_domain =
+        List.fold_left
+          (fun acc (d, m) ->
+            match List.assoc_opt d acc with
+            | Some total ->
+              Omega.Metrics.merge_into total m;
+              acc
+            | None -> (d, m) :: acc)
+          [] tagged
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      let memo_counts m =
+        let n = Omega.Metrics.count m in
+        let hits = n Analyses.Memo.hit_counter
+        and misses = n Analyses.Memo.miss_counter in
+        ( hits,
+          misses,
+          if hits + misses = 0 then 0.
+          else float_of_int hits /. float_of_int (hits + misses) )
+      in
       Par.set_domains 1;
       List.iter2
         (fun (name, (o : robust_outcome)) (_, (p : robust_outcome)) ->
@@ -2068,16 +2077,17 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
            not meaningful here — the gate is identity, not speed)\n"
           cores n;
       List.iter
-        (fun (d, (m : Analyses.Memo.t)) ->
-          let tot = m.Analyses.Memo.hits + m.Analyses.Memo.misses in
+        (fun (d, m) ->
+          let hits, misses, rate = memo_counts m in
+          let tier t =
+            Omega.Metrics.count m (Analyses.Memo.tier_hit_counter t)
+          in
           Printf.printf
             "  domain %d: %d memo hits, %d misses (%.0f%%); hits by tier: %d \
              screen, %d fast, %d complete\n"
-            d m.Analyses.Memo.hits m.Analyses.Memo.misses
-            (if tot = 0 then 0.
-             else 100. *. float_of_int m.Analyses.Memo.hits /. float_of_int tot)
-            m.Analyses.Memo.hits_screen m.Analyses.Memo.hits_fast
-            m.Analyses.Memo.hits_complete)
+            d hits misses (100. *. rate) (tier Portfolio.Tier_screen)
+            (tier Portfolio.Tier_fast)
+            (tier Portfolio.Tier_complete))
         by_domain;
       [
         ("domains", Json.Int n);
@@ -2095,24 +2105,11 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
         ( "memo_by_domain",
           Json.List
             (List.map
-               (fun (d, (m : Analyses.Memo.t)) ->
-                 let tot = m.Analyses.Memo.hits + m.Analyses.Memo.misses in
+               (fun (d, m) ->
+                 let _, _, rate = memo_counts m in
                  Json.Obj
-                   [
-                     ("domain", Json.Int d);
-                     ("hits", Json.Int m.Analyses.Memo.hits);
-                     ("misses", Json.Int m.Analyses.Memo.misses);
-                     ( "hit_rate",
-                       jf
-                         (if tot = 0 then 0.
-                          else
-                            float_of_int m.Analyses.Memo.hits
-                            /. float_of_int tot) );
-                     ("hits_screen", Json.Int m.Analyses.Memo.hits_screen);
-                     ("hits_fast", Json.Int m.Analyses.Memo.hits_fast);
-                     ( "hits_complete",
-                       Json.Int m.Analyses.Memo.hits_complete );
-                   ])
+                   ((("domain", Json.Int d) :: ("hit_rate", jf rate)
+                    :: Json.of_metrics ~under:"memo" m)))
                by_domain) );
       ]
   in

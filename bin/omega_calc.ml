@@ -83,14 +83,12 @@ let backend_arg =
 (* Run [f] with fresh solver counters; report them on stderr when asked,
    so golden stdout output is untouched. *)
 let with_stats stats f =
-  Tuning.Stats.reset ();
-  Portfolio.Stats.reset ();
-  let r = f () in
+  let r, m = Metrics.scoped f in
   if stats then begin
-    Printf.eprintf "solver: %s\n" (Tuning.Stats.summary ());
+    Printf.eprintf "solver: %s\n" (Tuning.summary m);
     Printf.eprintf "tiers (%s backend, attempts/decided): %s\n"
       (Portfolio.backend_to_string !Portfolio.backend)
-      (Portfolio.Stats.summary ())
+      (Portfolio.summary m)
   end;
   r
 

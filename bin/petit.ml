@@ -120,8 +120,8 @@ let with_wall deadline_ms f =
       (Some (Unix.gettimeofday () +. (ms /. 1000.)))
       f
 
-let print_governance () =
-  Printf.printf "governance: %s\n" (Omega.Budget.Telemetry.summary ())
+let print_governance m =
+  Printf.printf "governance: %s\n" (Omega.Budget.summary m)
 
 (* ------------------------------------------------------------------ *)
 (* Daemon client mode                                                  *)
@@ -288,10 +288,10 @@ let analyze_cmd =
     with_budget (limits_of_spec spec) @@ fun () ->
     with_wall deadline @@ fun () ->
     let prog = Lang.Sema.analyze (load file) in
-    Omega.Portfolio.Stats.reset ();
     Analyses.Memo.reset ();
-    Omega.Tuning.Stats.reset ();
-    let result = Driver.analyze ~in_bounds prog in
+    let result, m =
+      Omega.Metrics.scoped (fun () -> Driver.analyze ~in_bounds prog)
+    in
     print_string "Live flow dependences:\n";
     print_string (Driver.render_flow_table (Driver.live_flows result));
     print_string "\nDead flow dependences:\n";
@@ -309,20 +309,24 @@ let analyze_cmd =
        consulting the complete Omega test *)
     Printf.printf "\ntiers (%s backend, attempts/decided): %s\n"
       (Omega.Portfolio.backend_to_string !Omega.Portfolio.backend)
-      (Omega.Portfolio.Stats.summary ());
-    let m = Analyses.Memo.stats in
+      (Omega.Portfolio.summary m);
+    let memo = Analyses.Memo.stats in
+    let tier_hits t =
+      Omega.Metrics.count m (Analyses.Memo.tier_hit_counter t)
+    in
     Printf.printf
       "memo: %d distinct problems, %d cache hits (%.0f%% hit rate; by \
        tier: %d screen, %d fast, %d complete), %d/%d entries held, %d \
        evicted\n"
-      m.Analyses.Memo.misses m.Analyses.Memo.hits
+      memo.Analyses.Memo.misses memo.Analyses.Memo.hits
       (100. *. Analyses.Memo.hit_rate ())
-      m.Analyses.Memo.hits_screen m.Analyses.Memo.hits_fast
-      m.Analyses.Memo.hits_complete
+      (tier_hits Omega.Portfolio.Tier_screen)
+      (tier_hits Omega.Portfolio.Tier_fast)
+      (tier_hits Omega.Portfolio.Tier_complete)
       (Analyses.Memo.size ()) !Analyses.Memo.capacity
-      m.Analyses.Memo.evictions;
-    Printf.printf "solver: %s\n" (Omega.Tuning.Stats.summary ());
-    print_governance ()
+      memo.Analyses.Memo.evictions;
+    Printf.printf "solver: %s\n" (Omega.Tuning.summary m);
+    print_governance m
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -422,7 +426,7 @@ let parallelize_cmd =
     print_string (Xform.Parallel.render_report vs);
     print_newline ();
     print_string (Xform.Emit.annotate g vs);
-    print_governance ();
+    print_governance (Omega.Metrics.current ());
     if exec then begin
       let syms =
         if syms <> [] then Some syms

@@ -6,8 +6,8 @@
    existential side with the dark shadow, check the implication with
    gists), and only when both pass does the complete Presburger decision
    procedure run.  Per-tier accounting (attempts / decides / time) lives
-   in [Portfolio.Stats]; the driver's structural section-4.5 screens
-   count there too, as the [quick] row. *)
+   in the Metrics registry under "tiers"; the driver's structural
+   section-4.5 screens count there too, as the [quick] row. *)
 
 open Omega
 
@@ -42,28 +42,10 @@ let use_fast_path = ref true
    disable the cache ([Memo.enabled := false]) or they would measure
    hash lookups instead of eliminations. *)
 module Memo = struct
-  type t = {
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-    (* hits attributed to the tier that computed the cached verdict *)
-    mutable hits_screen : int;
-    mutable hits_fast : int;
-    mutable hits_complete : int;
-  }
-
-  let make_t () =
-    {
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      hits_screen = 0;
-      hits_fast = 0;
-      hits_complete = 0;
-    }
+  type t = { mutable hits : int; mutable misses : int; mutable evictions : int }
 
   let enabled = ref true
-  let stats = make_t ()
+  let stats = { hits = 0; misses = 0; evictions = 0 }
 
   (* Entries are tagged with the portfolio tier that decided them
      ([None] for a cached give-up), so replays keep the per-tier
@@ -89,48 +71,21 @@ module Memo = struct
       Mutex.unlock lock;
       raise e
 
-  (* Attribution of the shared cache's traffic.
+  (* The calling domain's share of the traffic, in the Metrics registry:
+     a petitd request's solver work runs on one worker domain under a
+     fresh registry, so its counts are exactly that request's even while
+     other sessions hammer the shared table. *)
+  let hit_counter = Metrics.counter "memo.hits"
+  let miss_counter = Metrics.counter "memo.misses"
 
-     [local]: per-domain hit/miss counters a client may reset and read
-     around a request.  The petitd service reports per-request memo
-     traffic this way: a request's solver work runs entirely on one
-     worker domain, so the domain-local delta is exact even while other
-     sessions hammer the shared table (the old scheme — deltas of the
-     shared lifetime counters — would misattribute concurrent traffic).
-
-     [by_domain]: lifetime per-domain totals, bumped under the same lock
-     as the shared counters; `bench analysis` reports per-domain hit
-     rates from it. *)
-  type local = { mutable l_hits : int; mutable l_misses : int }
-
-  let local_key = Domain.DLS.new_key (fun () -> { l_hits = 0; l_misses = 0 })
-
-  let local_reset () =
-    let l = Domain.DLS.get local_key in
-    l.l_hits <- 0;
-    l.l_misses <- 0
-
-  let local_counts () =
-    let l = Domain.DLS.get local_key in
-    (l.l_hits, l.l_misses)
-
-  let by_domain : (int, t) Hashtbl.t = Hashtbl.create 8
-
-  let domain_slot () =
-    let id = (Domain.self () :> int) in
-    match Hashtbl.find_opt by_domain id with
-    | Some s -> s
-    | None ->
-      let s = make_t () in
-      Hashtbl.add by_domain id s;
-      s
-
-  let domain_stats () =
-    locked (fun () ->
-        Hashtbl.fold
-          (fun id s acc -> (id, { s with evictions = s.evictions }) :: acc)
-          by_domain []
-        |> List.sort (fun (a, _) (b, _) -> compare a b))
+  let tier_hit_counter =
+    let screen = Metrics.counter "memo.hits_screen" in
+    let fast = Metrics.counter "memo.hits_fast" in
+    let complete = Metrics.counter "memo.hits_complete" in
+    function
+    | Portfolio.Tier_screen -> screen
+    | Portfolio.Tier_fast -> fast
+    | Portfolio.Tier_complete -> complete
 
   (* The cache is bounded: beyond [capacity] entries the oldest keys are
      evicted first-in-first-out.  FIFO (rather than LRU) keeps hits
@@ -149,11 +104,7 @@ module Memo = struct
         Queue.clear order;
         stats.hits <- 0;
         stats.misses <- 0;
-        stats.evictions <- 0;
-        stats.hits_screen <- 0;
-        stats.hits_fast <- 0;
-        stats.hits_complete <- 0;
-        Hashtbl.reset by_domain)
+        stats.evictions <- 0)
 
   let hit_rate () =
     locked (fun () ->
@@ -186,30 +137,23 @@ module Memo = struct
           done
         end)
 
-  let bump_tier s tier =
-    match tier with
-    | None -> ()
-    | Some Portfolio.Tier_screen -> s.hits_screen <- s.hits_screen + 1
-    | Some Portfolio.Tier_fast -> s.hits_fast <- s.hits_fast + 1
-    | Some Portfolio.Tier_complete -> s.hits_complete <- s.hits_complete + 1
-
   let find key =
-    let l = Domain.DLS.get local_key in
-    locked (fun () ->
-        match Hashtbl.find_opt table key with
-        | Some ((verdict, _, tier) as entry) when replayable entry ->
-          stats.hits <- stats.hits + 1;
-          bump_tier stats tier;
-          let slot = domain_slot () in
-          slot.hits <- slot.hits + 1;
-          bump_tier slot tier;
-          l.l_hits <- l.l_hits + 1;
-          Some (verdict, tier)
-        | _ ->
-          stats.misses <- stats.misses + 1;
-          (domain_slot ()).misses <- (domain_slot ()).misses + 1;
-          l.l_misses <- l.l_misses + 1;
-          None)
+    let found =
+      locked (fun () ->
+          match Hashtbl.find_opt table key with
+          | Some ((verdict, _, tier) as entry) when replayable entry ->
+            stats.hits <- stats.hits + 1;
+            Some (verdict, tier)
+          | _ ->
+            stats.misses <- stats.misses + 1;
+            None)
+    in
+    (match found with
+    | None -> Metrics.incr miss_counter
+    | Some (_, tier) ->
+      Metrics.incr hit_counter;
+      Option.iter (fun t -> Metrics.incr (tier_hit_counter t)) tier);
+    found
 end
 
 (* The canonical alpha-renamed serialization lives in [Canon]: it is

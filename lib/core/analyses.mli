@@ -7,9 +7,9 @@
     route (project the existential side with the dark shadow, check the
     implication with gists), and only when both pass does the complete
     Presburger decision procedure run.  Per-tier attempts / decides /
-    time are recorded in {!Omega.Portfolio.Stats} (merged across domains
-    by a {!Par} scope hook, so sharded analyses report the same totals
-    as serial ones). *)
+    time are counted in the {!Omega.Metrics} registry (merged across
+    domains by {!Par}, so sharded analyses report the same totals as
+    serial ones). *)
 
 open Omega
 
@@ -18,15 +18,7 @@ val use_fast_path : bool ref
     dark-shadow fast path (tier 1). *)
 
 module Memo : sig
-  type t = {
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-    mutable hits_screen : int;
-        (** hits whose cached verdict was decided by tier 0 *)
-    mutable hits_fast : int;  (** ... by the dark-shadow fast path *)
-    mutable hits_complete : int;  (** ... by the complete procedure *)
-  }
+  type t = { mutable hits : int; mutable misses : int; mutable evictions : int }
 
   val enabled : bool ref
   (** Verdict cache for {!implies_exists}, keyed on a canonical
@@ -50,8 +42,10 @@ module Memo : sig
   (** Entries currently cached. *)
 
   val stats : t
+  (** Lifetime traffic of the shared cache, across all domains. *)
+
   val reset : unit -> unit
-  (** Clears the table, the eviction queue, and all counters. *)
+  (** Clears the table, the eviction queue, and {!stats}. *)
 
   val hit_rate : unit -> float
   (** Hits over total queries since the last [reset]; [0.] when no
@@ -76,22 +70,19 @@ module Memo : sig
       {!Budget.current_limits}, tagged with the deciding tier, evicting
       FIFO beyond {!capacity}. *)
 
-  (** {2 Traffic attribution} *)
+  (** {2 Traffic attribution}
 
-  val local_reset : unit -> unit
-  (** Zero the calling domain's private hit/miss counters.  A client
-      whose solver work runs on one domain (a petitd request dispatched
-      to a worker) brackets it with [local_reset]/[local_counts] to get
-      an exact per-request memo report, unaffected by concurrent
-      sessions. *)
+      Each lookup also counts in the calling domain's {!Omega.Metrics}
+      registry, under ["memo"]: a client whose solver work runs on one
+      domain (a petitd request dispatched to a worker) scopes a fresh
+      registry around it to get an exact per-request report, unaffected
+      by concurrent sessions. *)
 
-  val local_counts : unit -> int * int
-  (** The calling domain's private (hits, misses) since
-      {!local_reset}. *)
+  val hit_counter : Metrics.counter
+  val miss_counter : Metrics.counter
 
-  val domain_stats : unit -> (int * t) list
-  (** Lifetime cache traffic per domain id, sorted ([evictions] is
-      global and repeated in every row). *)
+  val tier_hit_counter : Portfolio.tier -> Metrics.counter
+  (** Hits whose cached verdict was decided by the given tier. *)
 end
 
 val implies_exists_decide :

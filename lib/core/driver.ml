@@ -76,10 +76,7 @@ let cover_eliminates ~(cover_vectors : Dirvec.t list) (a : Ir.access)
    solver query avoided).  [quick_screen hit] records both and returns
    [hit] so call sites read as the screen predicate itself. *)
 let quick_screen hit =
-  let r = (Omega.Portfolio.Stats.current ()).Omega.Portfolio.Stats.quick in
-  r.Omega.Portfolio.Stats.attempts <- r.Omega.Portfolio.Stats.attempts + 1;
-  if hit then
-    r.Omega.Portfolio.Stats.decides <- r.Omega.Portfolio.Stats.decides + 1;
+  Omega.Portfolio.record_quick ~hit;
   hit
 
 let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =

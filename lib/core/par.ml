@@ -5,16 +5,18 @@
    one and participates) pull items off a shared atomic cursor, so load
    balances dynamically while the result array keeps input order.
 
-   Every task body runs inside the registered *scope hooks*.  A hook is
-   captured once per batch on the submitting domain and wraps each task
-   on whatever domain executes it; this is how ambient per-domain state
-   follows the work: the Budget hook re-installs the submitter's limits
-   and gives the task a fresh telemetry record that merges back (with
-   the commutative [Budget.Telemetry.merge_into]) when it finishes, and
-   the Tuning/Analyses stats hooks do the same for their counters.
-   Because the merges are commutative and every per-query quantity is
-   deterministic, the merged telemetry equals the serial run's up to the
-   memo-race caveat below.
+   Ambient per-domain state follows the work through one explicit
+   capture, taken once per batch on the submitting domain: the budget
+   limits and the wall deadline, which every task re-installs on
+   whatever domain executes it, and the submitter's metrics registry.
+   Each task counts into a fresh registry ([Metrics.scoped]) that
+   merges into the submitter's when it finishes.  (The fault-injection
+   configuration needs no capture: it is process-wide and immutable
+   while parallel work is in flight, and the fault stream itself is
+   keyed by query content, not by domain.)  Because the merge is
+   commutative and every per-query quantity is deterministic, the
+   merged counts equal the serial run's up to the memo-race caveat
+   below.
 
    Verdicts are bit-identical to the serial run by construction: item
    results depend only on each item's own problems, whose variables are
@@ -27,11 +29,6 @@
 
    The default width is 1: [map] is then exactly [Array.map], no pool,
    no scoping — existing single-domain behaviour, bit for bit. *)
-
-type wrap = { wrap : 'a. (unit -> 'a) -> 'a }
-
-let hooks : (unit -> wrap) list ref = ref []
-let register_scope_hook h = hooks := h :: !hooks
 
 let width = ref 1
 let set_domains n = width := max 1 n
@@ -59,19 +56,24 @@ let map (f : 'a -> 'b) (xs : 'a array) : 'b array =
     let p = ensure_pool (w - 1) in
     let out : 'b option array = Array.make n None in
     let next = Atomic.make 0 in
-    let wraps = List.map (fun h -> h ()) !hooks in
-    let task () =
-      let body () =
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            out.(i) <- Some (f xs.(i));
-            loop ()
-          end
-        in
+    let limits = Omega.Budget.current_limits ()
+    and wall = Omega.Budget.wall_deadline ()
+    and target = Omega.Metrics.current ()
+    and lock = Mutex.create () in
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        out.(i) <- Some (f xs.(i));
         loop ()
+      end
+    in
+    let task () =
+      let (), mine =
+        Omega.Metrics.scoped (fun () -> Omega.Budget.scoped ~limits ~wall loop)
       in
-      (List.fold_left (fun acc w () -> w.wrap acc) body wraps) ()
+      Mutex.lock lock;
+      Omega.Metrics.merge_into target mine;
+      Mutex.unlock lock
     in
     Taskpool.run_batch ~participate:true p (List.init w (fun _ -> task));
     Array.map
@@ -80,65 +82,3 @@ let map (f : 'a -> 'b) (xs : 'a array) : 'b array =
   end
 
 let map_list f xs = Array.to_list (map f (Array.of_list xs))
-
-(* ------------------------------------------------------------------ *)
-(* Scope hooks for the solver's ambient worlds                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Budget: tasks adopt the submitter's limits and merge their telemetry
-   into the submitter's record.  (The fault-injection configuration
-   needs no capture: it is process-wide and immutable while parallel
-   work is in flight, and the fault stream itself is keyed by query
-   content, not by domain.) *)
-let () =
-  register_scope_hook (fun () ->
-      let limits = Omega.Budget.current_limits () in
-      let target = Omega.Budget.Telemetry.current () in
-      let lock = Mutex.create () in
-      {
-        wrap =
-          (fun f ->
-            let v, tel = Omega.Budget.scoped ~limits f in
-            Mutex.lock lock;
-            Omega.Budget.Telemetry.merge_into target tel;
-            Mutex.unlock lock;
-            v);
-      })
-
-(* Tuning.Stats: same exchange-and-merge discipline. *)
-let () =
-  register_scope_hook (fun () ->
-      let target = Omega.Tuning.Stats.current () in
-      let lock = Mutex.create () in
-      {
-        wrap =
-          (fun f ->
-            let saved = Omega.Tuning.Stats.exchange (Omega.Tuning.Stats.make ()) in
-            let finish () =
-              let mine = Omega.Tuning.Stats.exchange saved in
-              Mutex.lock lock;
-              Omega.Tuning.Stats.merge_into target mine;
-              Mutex.unlock lock
-            in
-            Fun.protect ~finally:finish f);
-      })
-
-(* Portfolio.Stats (per-tier attempts/decides/time): same discipline. *)
-let () =
-  register_scope_hook (fun () ->
-      let target = Omega.Portfolio.Stats.current () in
-      let lock = Mutex.create () in
-      {
-        wrap =
-          (fun f ->
-            let saved =
-              Omega.Portfolio.Stats.exchange (Omega.Portfolio.Stats.make ())
-            in
-            let finish () =
-              let mine = Omega.Portfolio.Stats.exchange saved in
-              Mutex.lock lock;
-              Omega.Portfolio.Stats.merge_into target mine;
-              Mutex.unlock lock
-            in
-            Fun.protect ~finally:finish f);
-      })

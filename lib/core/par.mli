@@ -5,7 +5,8 @@
     participates.  Verdicts are bit-identical to the serial run: each
     item's variables are minted by one domain in the same relative
     order as serially, the shared {!Analyses.Memo} is keyed canonically,
-    and per-domain telemetry merges with a commutative combine.  Memo
+    and each task counts into its own {!Omega.Metrics} registry, merged
+    into the submitter's with the registry's commutative join.  Memo
     hit/miss counts are the one quantity parallelism may change (two
     domains racing a fresh key both compute the same verdict).
 
@@ -21,16 +22,8 @@ val domains : unit -> int
 val map : ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map.  Runs inline when width is 1, the
     array is short, or the caller is already a pool worker (nested
-    parallelism).  Re-raises the first exception any item raised after
+    parallelism).  Every item sees the submitter's budget limits and
+    wall deadline.  Re-raises the first exception any item raised after
     the batch drains. *)
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
-
-type wrap = { wrap : 'a. (unit -> 'a) -> 'a }
-
-val register_scope_hook : (unit -> wrap) -> unit
-(** Register a scope hook: called once per batch on the submitting
-    domain, the returned wrapper runs around each task on its executing
-    domain.  Used to ship ambient per-domain state (budgets, stats
-    counters) with the work; the Budget and Tuning hooks are built in,
-    {!Analyses} registers its own. *)

@@ -27,13 +27,13 @@
    the parallel-fault soundness tests lean on.  Queries that supply no
    [fault_key] never fault.
 
-   All of this state — limits, the active meter, telemetry — lives in a
+   The limits, the active meter and the wall deadline live in a
    per-domain *world* (Domain.DLS), so any domain can run queries
    without a lock.  Nested entries within one domain (e.g.
    [Gist.implies] calling [Elim.project]) share the outermost query's
-   meter exactly as before.  Telemetry merges across domains with the
-   commutative [Telemetry.merge_into] at query-set boundaries (see
-   Depend.Par); the fault-injection configuration is an immutable
+   meter exactly as before.  Telemetry is a set of cells in the
+   domain-local [Metrics] registry, merged across domains by
+   Depend.Par; the fault-injection configuration is an immutable
    process-wide setting read by every domain (publish it before
    spawning parallel work). *)
 
@@ -128,62 +128,50 @@ let add_splinters m n =
   if m.m_splinters > m.m_limits.splinters then raise (Exhausted Splinters)
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry records                                                   *)
+(* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
 
-module Telemetry0 = struct
-  type t = {
-    mutable queries : int;
-    mutable gave_up_fuel : int;
-    mutable gave_up_splinters : int;
-    mutable gave_up_disjuncts : int;
-    mutable gave_up_deadline : int;
-    mutable gave_up_injected : int;
-    mutable gave_up_incomplete : int;
-    mutable peak_fuel : int;
-    mutable peak_splinters : int;
-    mutable worst_label : string;
-    mutable worst_fuel : int;
-  }
+let queries = Metrics.counter "solver.queries"
 
-  let make () =
-    {
-      queries = 0;
-      gave_up_fuel = 0;
-      gave_up_splinters = 0;
-      gave_up_disjuncts = 0;
-      gave_up_deadline = 0;
-      gave_up_injected = 0;
-      gave_up_incomplete = 0;
-      peak_fuel = 0;
-      peak_splinters = 0;
-      worst_label = "";
-      worst_fuel = 0;
-    }
+let gave_up_cells =
+  List.map
+    (fun r -> (r, Metrics.counter ("solver.gave_up." ^ reason_to_string r)))
+    [ Fuel; Splinters; Disjuncts; Deadline; Injected; Incomplete ]
 
-  (* The worst-query cell is a commutative, associative join — (higher
-     fuel, then lexicographically-least label) with ("", 0) as identity
-     — so folding per-domain records in any order gives one answer, and
-     the serial accumulation below agrees with any parallel merge. *)
-  let note_worst t ~fuel ~label =
-    if fuel > t.worst_fuel then begin
-      t.worst_fuel <- fuel;
-      t.worst_label <- label
-    end
-    else if fuel = t.worst_fuel && fuel > 0 && label < t.worst_label then
-      t.worst_label <- label
+let gave_up_counter r = List.assoc r gave_up_cells
+let peak_fuel = Metrics.gauge "solver.peak_fuel"
+let peak_splinters = Metrics.gauge "solver.peak_splinters"
 
-  let merge_into dst src =
-    dst.queries <- dst.queries + src.queries;
-    dst.gave_up_fuel <- dst.gave_up_fuel + src.gave_up_fuel;
-    dst.gave_up_splinters <- dst.gave_up_splinters + src.gave_up_splinters;
-    dst.gave_up_disjuncts <- dst.gave_up_disjuncts + src.gave_up_disjuncts;
-    dst.gave_up_deadline <- dst.gave_up_deadline + src.gave_up_deadline;
-    dst.gave_up_injected <- dst.gave_up_injected + src.gave_up_injected;
-    dst.gave_up_incomplete <- dst.gave_up_incomplete + src.gave_up_incomplete;
-    dst.peak_fuel <- max dst.peak_fuel src.peak_fuel;
-    dst.peak_splinters <- max dst.peak_splinters src.peak_splinters;
-    note_worst dst ~fuel:src.worst_fuel ~label:src.worst_label
+(* The worst query: (higher fuel, then least label), so per-domain cells
+   join to one answer in any order. *)
+let worst = Metrics.worst ~label:"solver.worst_query" ~value:"solver.worst_fuel"
+
+let gave_up_of m =
+  List.fold_left (fun acc (_, c) -> acc + Metrics.count m c) 0 gave_up_cells
+
+let summary m =
+  let g r = Metrics.count m (gave_up_counter r) in
+  let worst_fuel, worst_label = Metrics.worst_of m worst in
+  Printf.sprintf
+    "%d solver queries, %d gave up (fuel %d, splinters %d, disjuncts %d, \
+     deadline %d, injected %d, incomplete %d); peak fuel %d, peak \
+     splinters %d%s"
+    (Metrics.count m queries) (gave_up_of m) (g Fuel) (g Splinters)
+    (g Disjuncts) (g Deadline) (g Injected) (g Incomplete)
+    (Metrics.peak m peak_fuel)
+    (Metrics.peak m peak_splinters)
+    (if worst_label = "" then ""
+     else Printf.sprintf "; worst query %s (fuel %d)" worst_label worst_fuel)
+
+module Telemetry = struct
+  type t = { queries : int; gave_up : int }
+
+  let current () =
+    let m = Metrics.current () in
+    { queries = Metrics.count m queries; gave_up = gave_up_of m }
+
+  let reset () = Metrics.reset ~under:"solver"
+  let total_of t = t.gave_up
 end
 
 (* ------------------------------------------------------------------ *)
@@ -193,7 +181,6 @@ end
 type world = {
   mutable w_limits : limits;
   mutable w_active : meter option;
-  mutable w_stats : Telemetry0.t;
   mutable w_wall_deadline : float option;
       (* absolute request-level deadline, folded into every meter *)
 }
@@ -203,7 +190,6 @@ let world_key =
       {
         w_limits = default;
         w_active = None;
-        w_stats = Telemetry0.make ();
         w_wall_deadline = None;
       })
 
@@ -296,87 +282,23 @@ let draw_fault fault_key =
   | Some f -> ( match fault_key with None -> false | Some k -> keyed_fault f (k ()))
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry (of the current world)                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Telemetry = struct
-  include Telemetry0
-
-  let current () = (world ()).w_stats
-  let reset () = (world ()).w_stats <- make ()
-
-  (* Swap in a fresh record and return the previous one: the scoping
-     primitive Depend.Par uses to give each parallel task its own
-     telemetry before merging it back. *)
-  let exchange fresh =
-    let w = world () in
-    let old = w.w_stats in
-    w.w_stats <- fresh;
-    old
-
-  let record_gave_up t = function
-    | Fuel -> t.gave_up_fuel <- t.gave_up_fuel + 1
-    | Splinters -> t.gave_up_splinters <- t.gave_up_splinters + 1
-    | Disjuncts -> t.gave_up_disjuncts <- t.gave_up_disjuncts + 1
-    | Deadline -> t.gave_up_deadline <- t.gave_up_deadline + 1
-    | Injected -> t.gave_up_injected <- t.gave_up_injected + 1
-    | Incomplete -> t.gave_up_incomplete <- t.gave_up_incomplete + 1
-
-  let total_of t =
-    t.gave_up_fuel + t.gave_up_splinters + t.gave_up_disjuncts
-    + t.gave_up_deadline + t.gave_up_injected + t.gave_up_incomplete
-
-  let gave_up_total () = total_of (current ())
-
-  let summary () =
-    let stats = current () in
-    Printf.sprintf
-      "%d solver queries, %d gave up (fuel %d, splinters %d, disjuncts %d, \
-       deadline %d, injected %d, incomplete %d); peak fuel %d, peak \
-       splinters %d%s"
-      stats.queries (total_of stats) stats.gave_up_fuel stats.gave_up_splinters
-      stats.gave_up_disjuncts stats.gave_up_deadline stats.gave_up_injected
-      stats.gave_up_incomplete stats.peak_fuel stats.peak_splinters
-      (if stats.worst_label = "" then ""
-       else
-         Printf.sprintf "; worst query %s (fuel %d)" stats.worst_label
-           stats.worst_fuel)
-
-  let to_json () =
-    let stats = current () in
-    Printf.sprintf
-      "{ \"queries\": %d, \"gave_up\": { \"fuel\": %d, \"splinters\": %d, \
-       \"disjuncts\": %d, \"deadline\": %d, \"injected\": %d, \
-       \"incomplete\": %d }, \"peak_fuel\": %d, \"peak_splinters\": %d, \
-       \"worst_query\": \"%s\", \"worst_fuel\": %d }"
-      stats.queries stats.gave_up_fuel stats.gave_up_splinters
-      stats.gave_up_disjuncts stats.gave_up_deadline stats.gave_up_injected
-      stats.gave_up_incomplete stats.peak_fuel stats.peak_splinters
-      (String.escaped stats.worst_label) stats.worst_fuel
-end
-
-(* ------------------------------------------------------------------ *)
 (* Scoped worlds (parallel tasks)                                      *)
 (* ------------------------------------------------------------------ *)
 
-let scoped ~limits f =
+let scoped ~limits ~wall f =
   let w = world () in
-  let saved_limits = w.w_limits and saved_active = w.w_active in
-  let saved_stats = Telemetry.exchange (Telemetry0.make ()) in
+  let saved_limits = w.w_limits
+  and saved_active = w.w_active
+  and saved_wall = w.w_wall_deadline in
   w.w_limits <- limits;
   w.w_active <- None;
-  let restore () =
-    let mine = w.w_stats in
-    w.w_limits <- saved_limits;
-    w.w_active <- saved_active;
-    w.w_stats <- saved_stats;
-    mine
-  in
-  match f () with
-  | v -> (v, restore ())
-  | exception e ->
-    ignore (restore ());
-    raise e
+  w.w_wall_deadline <- wall;
+  Fun.protect
+    ~finally:(fun () ->
+      w.w_limits <- saved_limits;
+      w.w_active <- saved_active;
+      w.w_wall_deadline <- saved_wall)
+    f
 
 (* ------------------------------------------------------------------ *)
 (* Query boundaries                                                    *)
@@ -389,10 +311,9 @@ let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
      just structure the outcome *)
   | Some _ -> ( try Ok (f ()) with Exhausted r -> Error r)
   | None ->
-    let t = w.w_stats in
-    t.Telemetry0.queries <- t.Telemetry0.queries + 1;
+    Metrics.incr queries;
     if draw_fault fault_key then begin
-      Telemetry.record_gave_up t Injected;
+      Metrics.incr (gave_up_counter Injected);
       Error Injected
     end
     else begin
@@ -400,11 +321,9 @@ let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
       w.w_active <- Some m;
       let finish () =
         w.w_active <- None;
-        if m.m_fuel > t.Telemetry0.peak_fuel then
-          t.Telemetry0.peak_fuel <- m.m_fuel;
-        if m.m_splinters > t.Telemetry0.peak_splinters then
-          t.Telemetry0.peak_splinters <- m.m_splinters;
-        Telemetry0.note_worst t ~fuel:m.m_fuel ~label
+        Metrics.observe peak_fuel m.m_fuel;
+        Metrics.observe peak_splinters m.m_splinters;
+        Metrics.note_worst worst m.m_fuel label
       in
       match f () with
       | v ->
@@ -412,7 +331,7 @@ let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
         Ok v
       | exception Exhausted r ->
         finish ();
-        Telemetry.record_gave_up t r;
+        Metrics.incr (gave_up_counter r);
         Error r
       | exception e ->
         finish ();

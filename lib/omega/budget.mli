@@ -16,14 +16,14 @@
     tightening can only turn [Proved]/[Disproved] into [Gave_up], never
     flip them.
 
-    Limits, the meter and telemetry live in a {e per-domain world}
-    (Domain.DLS): every domain can run queries concurrently without a
-    lock, and nested entries within one domain share the outermost
-    query's meter.  Per-domain telemetry merges deterministically with
-    {!Telemetry.merge_into} ({!Depend.Par} does this at every
-    query-set boundary).  Note that systhreads share their domain's
-    world — petitd session threads must ship solver work to worker
-    domains rather than run it in place. *)
+    Limits, the meter and the wall deadline live in a {e per-domain
+    world} (Domain.DLS): every domain can run queries concurrently
+    without a lock, and nested entries within one domain share the
+    outermost query's meter.  Telemetry is kept in the domain-local
+    {!Metrics} registry, whose merge is deterministic ({!Depend.Par}
+    merges at every query-set boundary).  Note that systhreads share
+    their domain's world — petitd session threads must ship solver work
+    to worker domains rather than run it in place. *)
 
 type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Incomplete
 (** [Incomplete]: the query ran only incomplete backends (e.g. the
@@ -127,57 +127,32 @@ val set_fault_injection : seed:int -> rate:float -> unit
 val clear_fault_injection : unit -> unit
 val fault_injection_active : unit -> bool
 
-(** {1 Telemetry} *)
+(** {1 Telemetry}
 
+    Every top-level {!run} counts in the current domain's {!Metrics}
+    registry, under ["solver"]: [queries], [gave_up.<reason>],
+    [peak_fuel], [peak_splinters] and the worst query
+    ([worst_query], [worst_fuel]; higher fuel wins, ties go to the least
+    label). *)
+
+val gave_up_counter : reason -> Metrics.counter
+
+val summary : Metrics.t -> string
+(** One human-readable line for CLI output. *)
+
+(** Read-only view of the current domain's query and give-up counts. *)
 module Telemetry : sig
-  type t = {
-    mutable queries : int;
-    mutable gave_up_fuel : int;
-    mutable gave_up_splinters : int;
-    mutable gave_up_disjuncts : int;
-    mutable gave_up_deadline : int;
-    mutable gave_up_injected : int;
-    mutable gave_up_incomplete : int;
-    mutable peak_fuel : int;
-    mutable peak_splinters : int;
-    mutable worst_label : string;
-    mutable worst_fuel : int;
-  }
-
-  val make : unit -> t
-  (** A fresh all-zero record. *)
+  type t = { queries : int; gave_up : int }
 
   val current : unit -> t
-  (** The current domain's telemetry record. *)
-
   val reset : unit -> unit
-  (** Replace the current domain's record with a fresh one. *)
-
-  val exchange : t -> t
-  (** Swap the current domain's record for the given one and return the
-      previous record (the scoping primitive behind [Depend.Par]). *)
-
-  val merge_into : t -> t -> unit
-  (** [merge_into dst src]: fold [src] into [dst].  Counters add, peaks
-      max, and the worst-query cell joins by (higher fuel, then least
-      label) — a commutative, associative combine, so per-domain records
-      merge to the same totals in any order. *)
-
   val total_of : t -> int
-  val gave_up_total : unit -> int
-
-  val summary : unit -> string
-  (** One human-readable line for CLI output (current domain). *)
-
-  val to_json : unit -> string
 end
 
 (** {1 Scoped worlds (parallel tasks)} *)
 
-val scoped : limits:limits -> (unit -> 'a) -> 'a * Telemetry.t
-(** Run [f] under the given limits with a fresh meter slot and a fresh
-    telemetry record, restoring the previous world state afterwards;
-    returns [f]'s result and the telemetry the scope accumulated.  This
-    is how a parallel task adopts its submitter's budget on whatever
-    domain it lands on, and how its telemetry is harvested for the
-    deterministic merge. *)
+val scoped : limits:limits -> wall:float option -> (unit -> 'a) -> 'a
+(** Run [f] under the given limits and wall deadline with a fresh meter
+    slot, restoring the previous world state afterwards.  This is how a
+    parallel task adopts its submitter's budget on whatever domain it
+    lands on. *)

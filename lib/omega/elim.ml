@@ -310,12 +310,11 @@ let make_splinters v p lows ups =
     lows
 
 let fm_eliminate p v : fm_result =
-  let s = Tuning.Stats.current () in
-  s.Tuning.Stats.fm_eliminations <- s.Tuning.Stats.fm_eliminations + 1;
+  Metrics.incr Tuning.fm_eliminations;
   let lows, ups, others = bounds_on p v in
   match lows, ups with
   | [], _ | _, [] ->
-    s.Tuning.Stats.fm_exact <- s.Tuning.Stats.fm_exact + 1;
+    Metrics.incr Tuning.fm_exact;
     Eliminated (Problem.of_list others)
   | _ ->
     (* the cross product multiplies the inequality count only when both
@@ -328,11 +327,11 @@ let fm_eliminate p v : fm_result =
       p
     in
     if fm_exact lows ups then begin
-      s.Tuning.Stats.fm_exact <- s.Tuning.Stats.fm_exact + 1;
+      Metrics.incr Tuning.fm_exact;
       Eliminated (grown (fm_combine ~dark:true lows ups others))
     end
     else begin
-      s.Tuning.Stats.fm_split <- s.Tuning.Stats.fm_split + 1;
+      Metrics.incr Tuning.fm_split;
       let dark = grown (fm_combine ~dark:true lows ups others) in
       let real = grown (fm_combine ~dark:false lows ups others) in
       Split { dark; real; splinters = make_splinters v p lows ups }

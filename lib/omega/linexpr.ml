@@ -192,7 +192,6 @@ let intern_key =
 let intern e =
   if not !Tuning.hashcons then e
   else begin
-    let s = Tuning.Stats.current () in
     let it = Domain.DLS.get intern_key in
     let h = hash e in
     let bucket =
@@ -200,10 +199,10 @@ let intern e =
     in
     match List.find_opt (fun e' -> equal e' e) bucket with
     | Some e' ->
-      s.Tuning.Stats.intern_hits <- s.Tuning.Stats.intern_hits + 1;
+      Metrics.incr Tuning.intern_hits;
       e'
     | None ->
-      s.Tuning.Stats.intern_misses <- s.Tuning.Stats.intern_misses + 1;
+      Metrics.incr Tuning.intern_misses;
       if it.count >= intern_cap then begin
         Hashtbl.reset it.tbl;
         it.count <- 0

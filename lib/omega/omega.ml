@@ -9,6 +9,7 @@ module Var = Var
 module Linexpr = Linexpr
 module Constr = Constr
 module Problem = Problem
+module Metrics = Metrics
 module Budget = Budget
 module Tuning = Tuning
 module Elim = Elim

@@ -4,8 +4,7 @@
    returning a [Screen.answer], the first definite answer wins, and the
    whole run sits inside a [Budget] query boundary so resource blowups
    and incomplete-plan give-ups surface as structured verdicts.  The
-   per-tier accounting lives in a per-domain record like the other hot
-   counters (Budget.Telemetry, Tuning.Stats). *)
+   per-tier accounting is a set of cells in the Metrics registry. *)
 
 type backend = Omega | Screen | Cascade
 
@@ -35,59 +34,68 @@ let tier_of_string = function
   | "complete" -> Some Tier_complete
   | _ -> None
 
-module Stats = struct
-  type row = {
-    mutable attempts : int;
-    mutable decides : int;
-    mutable elapsed : float;
-  }
+(* Per-tier cells, under "tiers.<name>"; [quick] is the driver's
+   structural section-4.5 screens. *)
+type cells = {
+  attempts : Metrics.counter;
+  decides : Metrics.counter;
+  ms : Metrics.timer;
+}
 
+(* Registration order is export order, hence the explicit sequencing. *)
+let cells name =
+  let c field = "tiers." ^ name ^ "." ^ field in
+  let attempts = Metrics.counter (c "attempts") in
+  let decides = Metrics.counter (c "decides") in
+  { attempts; decides; ms = Metrics.timer (c "ms") }
+
+let quick = cells "quick"
+let screen_cells = cells "screen"
+let fast_cells = cells "fast"
+let complete_cells = cells "complete"
+
+let cells_of = function
+  | Tier_screen -> screen_cells
+  | Tier_fast -> fast_cells
+  | Tier_complete -> complete_cells
+
+let record_quick ~hit =
+  Metrics.incr quick.attempts;
+  if hit then Metrics.incr quick.decides
+
+let summary m =
+  let n = Metrics.count m in
+  let tier name c =
+    Printf.sprintf "%s %d/%d (%.1fms)" name (n c.attempts) (n c.decides)
+      (Metrics.ms m c.ms)
+  in
+  Printf.sprintf "quick %d/%d, %s, %s, %s" (n quick.attempts)
+    (n quick.decides)
+    (tier "screen" screen_cells)
+    (tier "fast" fast_cells)
+    (tier "complete" complete_cells)
+
+module Stats = struct
+  type row = { attempts : int; decides : int; elapsed : float }
   type t = { quick : row; screen : row; fast : row; complete : row }
 
-  let make_row () = { attempts = 0; decides = 0; elapsed = 0. }
-
-  let make () =
+  let current () =
+    let m = Metrics.current () in
+    let row (c : cells) =
+      {
+        attempts = Metrics.count m c.attempts;
+        decides = Metrics.count m c.decides;
+        elapsed = Metrics.ms m c.ms /. 1000.;
+      }
+    in
     {
-      quick = make_row ();
-      screen = make_row ();
-      fast = make_row ();
-      complete = make_row ();
+      quick = row quick;
+      screen = row screen_cells;
+      fast = row fast_cells;
+      complete = row complete_cells;
     }
 
-  let key = Domain.DLS.new_key make
-  let current () = Domain.DLS.get key
-  let reset () = Domain.DLS.set key (make ())
-
-  let exchange fresh =
-    let old = current () in
-    Domain.DLS.set key fresh;
-    old
-
-  let merge_row dst src =
-    dst.attempts <- dst.attempts + src.attempts;
-    dst.decides <- dst.decides + src.decides;
-    dst.elapsed <- dst.elapsed +. src.elapsed
-
-  let merge_into dst src =
-    merge_row dst.quick src.quick;
-    merge_row dst.screen src.screen;
-    merge_row dst.fast src.fast;
-    merge_row dst.complete src.complete
-
-  let row_of t = function
-    | Tier_screen -> t.screen
-    | Tier_fast -> t.fast
-    | Tier_complete -> t.complete
-
-  let summary () =
-    let s = current () in
-    let tier name r =
-      Printf.sprintf "%s %d/%d (%.1fms)" name r.attempts r.decides
-        (r.elapsed *. 1000.)
-    in
-    Printf.sprintf "quick %d/%d, %s, %s, %s" s.quick.attempts s.quick.decides
-      (tier "screen" s.screen) (tier "fast" s.fast)
-      (tier "complete" s.complete)
+  let reset () = Metrics.reset ~under:"tiers"
 end
 
 module Oracle = struct
@@ -142,29 +150,27 @@ let plan ?screen ?fast ~complete () =
   | Cascade ->
       if !Tuning.screen then maybe Tier_screen screen upper else upper
 
-let timed row f =
-  row.Stats.attempts <- row.Stats.attempts + 1;
+let timed tier f =
+  let c = cells_of tier in
+  Metrics.incr c.attempts;
   let t0 = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () ->
-      row.Stats.elapsed <-
-        row.Stats.elapsed +. (Unix.gettimeofday () -. t0))
+      Metrics.add_ms c.ms ((Unix.gettimeofday () -. t0) *. 1000.))
     f
 
 let decide ?label ?fault_key tiers =
   let decided = ref None in
   let result =
     Budget.run ?label ?fault_key (fun () ->
-        let stats = Stats.current () in
         let rec go = function
           | [] -> raise (Budget.Exhausted Budget.Incomplete)
           | (tier, f) :: rest -> (
-              let row = Stats.row_of stats tier in
-              match timed row f with
+              match timed tier f with
               | Screen.Unknown -> go rest
               | answer ->
                   let v = answer = Screen.Proved in
-                  row.Stats.decides <- row.Stats.decides + 1;
+                  Metrics.incr (cells_of tier).decides;
                   decided := Some tier;
                   (if tier <> Tier_complete && Oracle.active () then
                      match
@@ -172,7 +178,7 @@ let decide ?label ?fault_key tiers =
                      with
                      | Some (_, comp) ->
                          let want =
-                           match timed (Stats.row_of stats Tier_complete) comp
+                           match timed Tier_complete comp
                            with
                            | Screen.Proved -> true
                            | Screen.Disproved -> false

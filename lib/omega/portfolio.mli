@@ -33,40 +33,28 @@ val tier_to_string : tier -> string
 
 val tier_of_string : string -> tier option
 
-(** Per-domain tier telemetry, following the [Tuning.Stats] world
-    discipline: hot-path increments are plain stores on the current
-    domain's record; parallel scopes exchange in a fresh record and
-    merge it back ({!Depend.Par}). *)
+(** {1 Tier telemetry}
+
+    Cells of the {!Metrics} registry under ["tiers.<tier>"]:
+    [attempts] (times the tier was consulted), [decides] (times it
+    returned a definite answer) and [ms] (time spent inside it), for
+    [quick] — the driver's structural section-4.5 screens, consulted
+    before any solver query is built — and the three solver tiers. *)
+
+val record_quick : hit:bool -> unit
+(** Count one quick-screen consultation, and a decide when it settled
+    the question without a solver query. *)
+
+val summary : Metrics.t -> string
+(** One human-readable per-tier breakdown line. *)
+
+(** Read-only view of the current domain's tier cells. *)
 module Stats : sig
-  type row = {
-    mutable attempts : int;  (** times the tier was consulted *)
-    mutable decides : int;  (** times it returned a definite answer *)
-    mutable elapsed : float;  (** seconds spent inside the tier *)
-  }
+  type row = { attempts : int; decides : int; elapsed : float (** seconds *) }
+  type t = { quick : row; screen : row; fast : row; complete : row }
 
-  type t = {
-    quick : row;
-        (** the driver's structural section-4.5 screens — consulted
-            before any solver query is even built *)
-    screen : row;  (** tier 0: the incomplete {!Screen} backend *)
-    fast : row;  (** tier 1: dark-shadow implication fast path *)
-    complete : row;  (** tier 2: complete Presburger procedure *)
-  }
-
-  val make : unit -> t
   val current : unit -> t
   val reset : unit -> unit
-
-  val exchange : t -> t
-  (** Swap the current domain's record, returning the previous one. *)
-
-  val merge_into : t -> t -> unit
-  (** Fold [src] into [dst] (all sums — commutative). *)
-
-  val row_of : t -> tier -> row
-
-  val summary : unit -> string
-  (** One human-readable per-tier breakdown line (current domain). *)
 end
 
 (** Cross-backend differential oracle.  While enabled, every query an
@@ -112,5 +100,5 @@ val decide :
   Budget.verdict * tier option
 (** Run the tiers in order inside a {!Budget} query boundary, returning
     the verdict and the tier that decided ([None] for [Gave_up]).  Tier
-    attempts/decides/elapsed are recorded in {!Stats}; an exhausted plan
+    attempts/decides/time are counted in the registry; an exhausted plan
     raises — and the boundary catches — [Exhausted Incomplete]. *)

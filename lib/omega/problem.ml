@@ -170,7 +170,6 @@ let interval_screen (iter_buckets : (Termkey.key -> bucket -> unit) -> unit) =
            | Some b -> Some (Zint.add m (Zint.mul q b))))
       (Some Zint.zero) key
   in
-  let stats = Tuning.Stats.current () in
   iter_buckets
     (fun key b ->
       if b.eq = None && not b.contra && List.length key > 1 then begin
@@ -180,8 +179,7 @@ let interval_screen (iter_buckets : (Termkey.key -> bucket -> unit) -> unit) =
            (match box_min key true with
             | Some m when Zint.(Zint.add m clo >= Zint.zero) ->
               b.lo <- None;
-              stats.Tuning.Stats.pruned_interval <-
-                stats.Tuning.Stats.pruned_interval + 1
+              Metrics.incr Tuning.pruned_interval
             | _ -> ())
          | None -> ());
         match b.hi with
@@ -190,8 +188,7 @@ let interval_screen (iter_buckets : (Termkey.key -> bucket -> unit) -> unit) =
           (match box_min key false with
            | Some m when Zint.(Zint.add m chi >= Zint.zero) ->
              b.hi <- None;
-             stats.Tuning.Stats.pruned_interval <-
-               stats.Tuning.Stats.pruned_interval + 1
+             Metrics.incr Tuning.pruned_interval
            | _ -> ())
         | None -> ()
       end)

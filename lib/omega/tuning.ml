@@ -38,52 +38,18 @@ let all_on () =
   set ~order:true ~redundancy:true ~hashcons:true;
   screen := true
 
-module Stats = struct
-  type t = {
-    mutable fm_eliminations : int;  (* variables eliminated by FM *)
-    mutable fm_exact : int;  (* of which exact (incl. one-sided) *)
-    mutable fm_split : int;  (* of which dark-shadow + splinters *)
-    mutable pruned_interval : int;  (* constraints dropped by the screen *)
-    mutable intern_hits : int;
-    mutable intern_misses : int;
-  }
+(* Counters of the elimination core, in the metrics registry. *)
+let fm_eliminations = Metrics.counter "elim.fm_eliminations"
+let fm_exact = Metrics.counter "elim.fm_exact" (* incl. one-sided *)
+let fm_split = Metrics.counter "elim.fm_split" (* dark shadow + splinters *)
+let pruned_interval = Metrics.counter "elim.pruned_interval"
+let intern_hits = Metrics.counter "elim.intern_hits"
+let intern_misses = Metrics.counter "elim.intern_misses"
 
-  let make () =
-    {
-      fm_eliminations = 0;
-      fm_exact = 0;
-      fm_split = 0;
-      pruned_interval = 0;
-      intern_hits = 0;
-      intern_misses = 0;
-    }
-
-  (* Per-domain record, like Budget's world: hot-path increments stay
-     plain unsynchronized stores, and parallel tasks merge their record
-     back at batch boundaries (Depend.Par). *)
-  let key = Domain.DLS.new_key make
-
-  let current () = Domain.DLS.get key
-  let reset () = Domain.DLS.set key (make ())
-
-  let exchange fresh =
-    let old = current () in
-    Domain.DLS.set key fresh;
-    old
-
-  let merge_into dst src =
-    dst.fm_eliminations <- dst.fm_eliminations + src.fm_eliminations;
-    dst.fm_exact <- dst.fm_exact + src.fm_exact;
-    dst.fm_split <- dst.fm_split + src.fm_split;
-    dst.pruned_interval <- dst.pruned_interval + src.pruned_interval;
-    dst.intern_hits <- dst.intern_hits + src.intern_hits;
-    dst.intern_misses <- dst.intern_misses + src.intern_misses
-
-  let summary () =
-    let stats = current () in
-    Printf.sprintf
-      "%d FM eliminations (%d exact, %d split), %d constraints \
-       interval-pruned, intern %d hits / %d misses"
-      stats.fm_eliminations stats.fm_exact stats.fm_split
-      stats.pruned_interval stats.intern_hits stats.intern_misses
-end
+let summary m =
+  let n = Metrics.count m in
+  Printf.sprintf
+    "%d FM eliminations (%d exact, %d split), %d constraints \
+     interval-pruned, intern %d hits / %d misses"
+    (n fm_eliminations) (n fm_exact) (n fm_split) (n pruned_interval)
+    (n intern_hits) (n intern_misses)

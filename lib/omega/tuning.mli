@@ -25,30 +25,19 @@ val set : order:bool -> redundancy:bool -> hashcons:bool -> unit
 val all_on : unit -> unit
 (** All four switches on (the production configuration). *)
 
-module Stats : sig
-  type t = {
-    mutable fm_eliminations : int;
-    mutable fm_exact : int;
-    mutable fm_split : int;
-    mutable pruned_interval : int;
-    mutable intern_hits : int;
-    mutable intern_misses : int;
-  }
+(** {1 Counters}
 
-  val make : unit -> t
+    Cells of the {!Metrics} registry under ["elim"]: variables
+    eliminated by Fourier-Motzkin, of which exact and split (dark
+    shadow plus splinters), constraints dropped by the interval screen,
+    and interning hits and misses. *)
 
-  val current : unit -> t
-  (** The current domain's counter record (hot-path increments are
-      plain stores; cross-domain totals come from {!merge_into}). *)
+val fm_eliminations : Metrics.counter
+val fm_exact : Metrics.counter
+val fm_split : Metrics.counter
+val pruned_interval : Metrics.counter
+val intern_hits : Metrics.counter
+val intern_misses : Metrics.counter
 
-  val reset : unit -> unit
-
-  val exchange : t -> t
-  (** Swap the current domain's record, returning the previous one. *)
-
-  val merge_into : t -> t -> unit
-  (** Fold [src] counters into [dst] (all sums — commutative). *)
-
-  val summary : unit -> string
-  (** One human-readable line for CLI output (current domain). *)
-end
+val summary : Metrics.t -> string
+(** One human-readable line for CLI output. *)

@@ -362,3 +362,12 @@ let to_float_opt = function
 let to_str_opt = function Str s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List xs -> Some xs | _ -> None
+
+let of_metrics ~under m =
+  let rec conv = function
+    | Omega.Metrics.Int n -> Int n
+    | Omega.Metrics.Float f -> Float f
+    | Omega.Metrics.Str s -> Str s
+    | Omega.Metrics.Obj kvs -> Obj (List.map (fun (k, v) -> (k, conv v)) kvs)
+  in
+  List.map (fun (k, v) -> (k, conv v)) (Omega.Metrics.to_json ~under m)

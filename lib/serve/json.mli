@@ -22,6 +22,10 @@ val to_buffer : Buffer.t -> t -> unit
 val pretty : t -> string
 (** Two-space indented rendering, for human-facing [--json] output. *)
 
+val of_metrics : under:string -> Omega.Metrics.t -> (string * t) list
+(** The object fields of the registry's cells under a dotted prefix
+    ({!Omega.Metrics.to_json}). *)
+
 val parse : ?max_depth:int -> string -> (t, string) result
 (** Total parser: never raises, rejects trailing garbage, and bounds
     nesting at [max_depth] (default 512) so adversarial frames cannot

@@ -9,30 +9,31 @@
    Session threads themselves never run solver work: they are systhreads
    sharing the main domain's storage, where in-place solving would race.
    The verdict memo is the one deliberately shared piece: mutex-guarded,
-   warm across requests and clients, with per-domain hit/miss counters
-   so each response reports exactly how much of the cache this request
-   hit, unpolluted by concurrent sessions. *)
+   warm across requests and clients.  Each request solves under a fresh
+   metrics registry on its worker, so its response reports exactly how
+   much of the cache this request hit and what the solver did,
+   unpolluted by concurrent sessions; the service folds every request's
+   registry into one lifetime registry under [stats_lock]. *)
 
 open Omega
 module D = Depend
 
 exception Calc_error of string
 
-type stats = {
-  mutable s_analyze : int;
-  mutable s_parallelize : int;
-  mutable s_calc : int;
-  mutable s_stats : int;
-  mutable s_health : int;
-  mutable s_errors : int;
-  mutable s_conns : int;  (* currently open *)
-  mutable s_conns_total : int;
-  mutable s_inflight : int;  (* work-bearing requests being solved *)
-  mutable s_shed_requests : int;  (* refused by the admission gate *)
-  mutable s_shed_conns : int;  (* refused by the connection cap *)
-  mutable s_reaped : int;  (* stalled connections closed by a deadline *)
-  mutable s_deadline_refused : int;  (* wall deadline gone at admission *)
-}
+(* The service's own counters, kept in its lifetime registry. *)
+let analyze_requests = Metrics.counter "service.requests.analyze"
+let parallelize_requests = Metrics.counter "service.requests.parallelize"
+let calc_requests = Metrics.counter "service.requests.omega_calc"
+let stats_requests = Metrics.counter "service.requests.stats"
+let errors = Metrics.counter "service.requests.errors"
+let health_requests = Metrics.counter "service.health_requests"
+let conns_open = Metrics.counter "service.connections.open"
+let conns_total = Metrics.counter "service.connections.total"
+let shed_requests = Metrics.counter "service.shed.requests"
+let shed_conns = Metrics.counter "service.shed.connections"
+let reaped = Metrics.counter "service.reaped"
+let deadline_refused = Metrics.counter "service.deadline_refused"
+let in_flight = Metrics.counter "service.in_flight" (* being solved *)
 
 type t = {
   pool : Taskpool.t;
@@ -40,10 +41,8 @@ type t = {
   max_inflight : int option;  (* admission-gate width; None = unbounded *)
   started : float;  (* Unix.gettimeofday at create, for uptime *)
   stats_lock : Mutex.t;
-  stats : stats;
-  (* lifetime portfolio-tier totals across every request, merged from
-     each request's domain-local record under [stats_lock] *)
-  tiers : Portfolio.Stats.t;
+  metrics : Metrics.t;
+      (* lifetime: the service counters plus every request's registry *)
 }
 
 let create ?memo_capacity ?(quota = Budget.default) ?(domains = 1)
@@ -58,42 +57,25 @@ let create ?memo_capacity ?(quota = Budget.default) ?(domains = 1)
     max_inflight = Option.map (max 1) max_inflight;
     started = Unix.gettimeofday ();
     stats_lock = Mutex.create ();
-    stats =
-      {
-        s_analyze = 0;
-        s_parallelize = 0;
-        s_calc = 0;
-        s_stats = 0;
-        s_health = 0;
-        s_errors = 0;
-        s_conns = 0;
-        s_conns_total = 0;
-        s_inflight = 0;
-        s_shed_requests = 0;
-        s_shed_conns = 0;
-        s_reaped = 0;
-        s_deadline_refused = 0;
-      };
-    tiers = Portfolio.Stats.make ();
+    metrics = Metrics.create ();
   }
 
 let quota t = t.quota
 let domains t = Taskpool.workers t.pool
 let shutdown t = Taskpool.shutdown t.pool
 
-let bump t f =
-  Mutex.lock t.stats_lock;
-  f t.stats;
-  Mutex.unlock t.stats_lock
+let locked t f = Mutex.protect t.stats_lock f
+let bump ?(by = 1) t c = locked t (fun () -> Metrics.add_to t.metrics c by)
+let count t c = Metrics.count t.metrics c
 
 let note_connect t =
-  bump t (fun s ->
-      s.s_conns <- s.s_conns + 1;
-      s.s_conns_total <- s.s_conns_total + 1)
+  locked t (fun () ->
+      Metrics.add_to t.metrics conns_open 1;
+      Metrics.add_to t.metrics conns_total 1)
 
-let note_disconnect t = bump t (fun s -> s.s_conns <- s.s_conns - 1)
-let note_shed_conn t = bump t (fun s -> s.s_shed_conns <- s.s_shed_conns + 1)
-let note_reaped t = bump t (fun s -> s.s_reaped <- s.s_reaped + 1)
+let note_disconnect t = bump ~by:(-1) t conns_open
+let note_shed_conn t = bump t shed_conns
+let note_reaped t = bump t reaped
 
 (* The admission gate: at most [max_inflight] work-bearing requests may
    be solving (or queued on the worker pool) at once; beyond that the
@@ -101,25 +83,17 @@ let note_reaped t = bump t (fun s -> s.s_reaped <- s.s_reaped + 1)
    The hint scales with the overload: each excess waiter suggests
    another quantum of patience. *)
 let try_admit t =
-  match t.max_inflight with
-  | None -> `Admitted
-  | Some cap ->
-    Mutex.lock t.stats_lock;
-    let inflight = t.stats.s_inflight in
-    let decision =
-      if inflight < cap then begin
-        t.stats.s_inflight <- inflight + 1;
-        `Admitted
-      end
-      else begin
-        t.stats.s_shed_requests <- t.stats.s_shed_requests + 1;
+  locked t (fun () ->
+      let inflight = count t in_flight in
+      match t.max_inflight with
+      | Some cap when inflight >= cap ->
+        Metrics.add_to t.metrics shed_requests 1;
         `Shed (25. *. float_of_int (inflight - cap + 1))
-      end
-    in
-    Mutex.unlock t.stats_lock;
-    decision
+      | _ ->
+        Metrics.add_to t.metrics in_flight 1;
+        `Admitted)
 
-let release t = bump t (fun s -> s.s_inflight <- s.s_inflight - 1)
+let release t = bump ~by:(-1) t in_flight
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic payloads                                              *)
@@ -219,51 +193,24 @@ let parallelize_payload ~in_bounds (prog : Lang.Ir.program) =
       ("annotated", Json.Str (Xform.Emit.annotate g vs));
     ]
 
-let tier_row (r : Portfolio.Stats.row) =
-  Json.Obj
-    [
-      ("attempts", Json.Int r.Portfolio.Stats.attempts);
-      ("decides", Json.Int r.Portfolio.Stats.decides);
-      ("ms", Json.Float (r.Portfolio.Stats.elapsed *. 1000.));
-    ]
+let backend_json () =
+  ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend))
 
-let tiers_json (s : Portfolio.Stats.t) =
-  Json.Obj
-    [
-      ("quick", tier_row s.Portfolio.Stats.quick);
-      ("screen", tier_row s.Portfolio.Stats.screen);
-      ("fast", tier_row s.Portfolio.Stats.fast);
-      ("complete", tier_row s.Portfolio.Stats.complete);
-    ]
+let metrics_obj ~under m = Json.Obj (Json.of_metrics ~under m)
+let tiers_json m = ("tiers", metrics_obj ~under:"tiers" m)
 
-let governance_json () =
-  let t = Budget.Telemetry.current () in
+let governance_json m =
   Json.Obj
-    [
-      ("queries", Json.Int t.Budget.Telemetry.queries);
-      ( "gave_up",
-        Json.Obj
-          [
-            ("fuel", Json.Int t.Budget.Telemetry.gave_up_fuel);
-            ("splinters", Json.Int t.Budget.Telemetry.gave_up_splinters);
-            ("disjuncts", Json.Int t.Budget.Telemetry.gave_up_disjuncts);
-            ("deadline", Json.Int t.Budget.Telemetry.gave_up_deadline);
-            ("injected", Json.Int t.Budget.Telemetry.gave_up_injected);
-            ("incomplete", Json.Int t.Budget.Telemetry.gave_up_incomplete);
-          ] );
-      ("peak_fuel", Json.Int t.Budget.Telemetry.peak_fuel);
-      ("peak_splinters", Json.Int t.Budget.Telemetry.peak_splinters);
-      ("worst_query", Json.Str t.Budget.Telemetry.worst_label);
-      ("worst_fuel", Json.Int t.Budget.Telemetry.worst_fuel);
-      ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend));
-      ("tiers", tiers_json (Portfolio.Stats.current ()));
-    ]
+    (Json.of_metrics ~under:"solver" m @ [ backend_json (); tiers_json m ])
 
-let memo_report ~req_hits ~req_misses =
+(* Lifetime memo counters, paired with one request's own traffic when
+   given its registry. *)
+let memo_report ?request () =
   let m = D.Analyses.Memo.stats in
+  let req c = match request with Some r -> Metrics.count r c | None -> 0 in
   {
-    Protocol.mr_req_hits = req_hits;
-    mr_req_misses = req_misses;
+    Protocol.mr_req_hits = req D.Analyses.Memo.hit_counter;
+    mr_req_misses = req D.Analyses.Memo.miss_counter;
     mr_hits = m.D.Analyses.Memo.hits;
     mr_misses = m.D.Analyses.Memo.misses;
     mr_size = D.Analyses.Memo.size ();
@@ -275,12 +222,12 @@ let memo_report ~req_hits ~req_misses =
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* One governed unit of solver work, shipped to a worker domain: fresh
-   per-request telemetry and memo attribution in that domain's local
-   storage, the clamped budget, and the memo hit/miss deltas for the
-   response.  A worker runs one task at a time, so the domain-local
-   counters are exact per-request figures even with other sessions in
-   flight on sibling workers.  The task traps its own exceptions, and
+(* One governed unit of solver work, shipped to a worker domain: a fresh
+   metrics registry in that domain's local storage, the clamped budget,
+   and the request's memo and governance report for the response.  A
+   worker runs one task at a time, so the scoped registry holds exact
+   per-request figures even with other sessions in flight on sibling
+   workers.  The task traps its own exceptions, and
    run_batch's lock hands the result back to the session thread.
 
    [wall] is the request's absolute deadline, installed as the worker
@@ -294,33 +241,22 @@ let solve t budget ~wall (f : unit -> Json.t) :
   let task () =
     result :=
       try
-        Budget.Telemetry.reset ();
-        Portfolio.Stats.reset ();
-        D.Analyses.Memo.local_reset ();
-        let payload =
-          Budget.with_wall_deadline wall (fun () ->
-              if Budget.wall_expired () then
-                raise (Budget.Exhausted Budget.Deadline);
-              Budget.with_limits (Protocol.clamp_budget budget t.quota) f)
+        let payload, m =
+          Metrics.scoped (fun () ->
+              Budget.with_wall_deadline wall (fun () ->
+                  if Budget.wall_expired () then
+                    raise (Budget.Exhausted Budget.Deadline);
+                  Budget.with_limits (Protocol.clamp_budget budget t.quota) f))
         in
-        let req_hits, req_misses = D.Analyses.Memo.local_counts () in
-        let response =
-          Ok (payload, memo_report ~req_hits ~req_misses, governance_json ())
-        in
-        (* fold this request's tier traffic into the service lifetime
-           totals (the worker runs one task at a time, so the
-           domain-local record is exactly this request's) *)
-        Mutex.lock t.stats_lock;
-        Portfolio.Stats.merge_into t.tiers (Portfolio.Stats.current ());
-        Mutex.unlock t.stats_lock;
-        response
+        locked t (fun () -> Metrics.merge_into t.metrics m);
+        Ok (payload, memo_report ~request:m (), governance_json m)
       with e -> Error e
   in
   Taskpool.run_batch ~participate:false t.pool [ task ];
   !result
 
 let err ?retry_after_ms t ~id code message =
-  bump t (fun s -> s.s_errors <- s.s_errors + 1);
+  bump t errors;
   (Protocol.Error_ { id; code; message; retry_after_ms }, `Continue)
 
 (* Admission for work-bearing requests: shed on an over-full gate, and
@@ -337,8 +273,7 @@ let admitted t ~id ~wall k =
       (fun () ->
         match wall with
         | Some d when Unix.gettimeofday () >= d ->
-          bump t (fun s ->
-              s.s_deadline_refused <- s.s_deadline_refused + 1);
+          bump t deadline_refused;
           err t ~id Protocol.Gave_up
             "request deadline expired before work started"
         | _ -> k ())
@@ -367,42 +302,21 @@ let program_request t ~id ~program ~in_bounds ~budget ~wall payload_of =
       (Printf.sprintf "budget exhausted (%s)" (Budget.reason_to_string r))
   | Error e -> err t ~id Protocol.Server_error (Printexc.to_string e)
 
-(* Snapshot the lifetime tier totals under the lock. *)
-let snapshot_tiers t =
-  let copy = Portfolio.Stats.make () in
-  Mutex.lock t.stats_lock;
-  Portfolio.Stats.merge_into copy t.tiers;
-  Mutex.unlock t.stats_lock;
-  copy
-
 let stats_payload t =
-  let s = t.stats in
-  let m = memo_report ~req_hits:0 ~req_misses:0 in
+  let m = memo_report () in
   let total = m.Protocol.mr_hits + m.Protocol.mr_misses in
-  let tiers = snapshot_tiers t in
+  locked t @@ fun () ->
   Json.Obj
     [
-      ( "requests",
-        Json.Obj
-          [
-            ("analyze", Json.Int s.s_analyze);
-            ("parallelize", Json.Int s.s_parallelize);
-            ("omega_calc", Json.Int s.s_calc);
-            ("stats", Json.Int s.s_stats);
-            ("errors", Json.Int s.s_errors);
-          ] );
-      ( "connections",
-        Json.Obj
-          [
-            ("open", Json.Int s.s_conns); ("total", Json.Int s.s_conns_total);
-          ] );
+      ("requests", metrics_obj ~under:"service.requests" t.metrics);
+      ("connections", metrics_obj ~under:"service.connections" t.metrics);
       ("memo", Protocol.memo_json m);
       ( "memo_hit_rate",
         Json.Float
           (if total = 0 then 0.
            else float_of_int m.Protocol.mr_hits /. float_of_int total) );
-      ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend));
-      ("tiers", tiers_json tiers);
+      backend_json ();
+      tiers_json t.metrics;
       ( "quota",
         Json.Obj
           [
@@ -421,63 +335,54 @@ let stats_payload t =
    on the session thread — never queued behind solver work — so it
    answers even when every worker is busy. *)
 let health_payload t =
-  Mutex.lock t.stats_lock;
-  let s = t.stats in
-  let snap =
+  let m = memo_report () in
+  locked t @@ fun () ->
+  let n c = Json.Int (count t c) in
+  Json.Obj
     [
       ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
-      ("in_flight", Json.Int s.s_inflight);
+      ("in_flight", n in_flight);
       ( "max_inflight",
         match t.max_inflight with
         | Some n -> Json.Int n
         | None -> Json.Null );
-      ( "shed",
-        Json.Obj
-          [
-            ("requests", Json.Int s.s_shed_requests);
-            ("connections", Json.Int s.s_shed_conns);
-          ] );
-      ("reaped", Json.Int s.s_reaped);
-      ("deadline_refused", Json.Int s.s_deadline_refused);
-      ( "connections",
-        Json.Obj
-          [
-            ("open", Json.Int s.s_conns); ("total", Json.Int s.s_conns_total);
-          ] );
+      ("shed", metrics_obj ~under:"service.shed" t.metrics);
+      ("reaped", n reaped);
+      ("deadline_refused", n deadline_refused);
+      ("connections", metrics_obj ~under:"service.connections" t.metrics);
       ( "served",
-        Json.Int (s.s_analyze + s.s_parallelize + s.s_calc + s.s_stats
-                  + s.s_health) );
-      ("errors", Json.Int s.s_errors);
+        Json.Int
+          (List.fold_left
+             (fun acc c -> acc + count t c)
+             0
+             [
+               analyze_requests; parallelize_requests; calc_requests;
+               stats_requests; health_requests;
+             ]) );
+      ("errors", n errors);
+      ("domains", Json.Int (Taskpool.workers t.pool));
+      ("memo", Protocol.memo_json m);
+      backend_json ();
+      tiers_json t.metrics;
     ]
-  in
-  Mutex.unlock t.stats_lock;
-  let m = memo_report ~req_hits:0 ~req_misses:0 in
-  Json.Obj
-    (snap
-    @ [
-        ("domains", Json.Int (Taskpool.workers t.pool));
-        ("memo", Protocol.memo_json m);
-        ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend));
-        ("tiers", tiers_json (snapshot_tiers t));
-      ])
 
 let handle t ~peer:_ ~id (req : Protocol.request) =
   let now = Unix.gettimeofday () in
   match req with
   | Protocol.Analyze { program; in_bounds; budget; deadline_ms } ->
-    bump t (fun s -> s.s_analyze <- s.s_analyze + 1);
+    bump t analyze_requests;
     let wall = wall_of ~now deadline_ms in
     admitted t ~id ~wall (fun () ->
         program_request t ~id ~program ~in_bounds ~budget ~wall
           analyze_payload)
   | Protocol.Parallelize { program; in_bounds; budget; deadline_ms } ->
-    bump t (fun s -> s.s_parallelize <- s.s_parallelize + 1);
+    bump t parallelize_requests;
     let wall = wall_of ~now deadline_ms in
     admitted t ~id ~wall (fun () ->
         program_request t ~id ~program ~in_bounds ~budget ~wall
           parallelize_payload)
   | Protocol.Omega_calc { op; budget; deadline_ms } ->
-    bump t (fun s -> s.s_calc <- s.s_calc + 1);
+    bump t calc_requests;
     let wall = wall_of ~now deadline_ms in
     admitted t ~id ~wall (fun () ->
         match
@@ -497,12 +402,12 @@ let handle t ~peer:_ ~id (req : Protocol.request) =
         | Error (Calc_error msg) -> err t ~id Protocol.Parse_error msg
         | Error e -> err t ~id Protocol.Server_error (Printexc.to_string e))
   | Protocol.Stats ->
-    bump t (fun s -> s.s_stats <- s.s_stats + 1);
+    bump t stats_requests;
     ( Protocol.Result
         { id; payload = stats_payload t; memo = None; governance = None },
       `Continue )
   | Protocol.Health ->
-    bump t (fun s -> s.s_health <- s.s_health + 1);
+    bump t health_requests;
     ( Protocol.Result
         { id; payload = health_payload t; memo = None; governance = None },
       `Continue )

@@ -8,8 +8,9 @@
     concurrently.  The verdict cache ({!Depend.Analyses.Memo}) persists
     across requests and clients — that sharing is the daemon's whole
     point — and every response reports its telemetry, both lifetime and
-    per-request (attributed per worker domain, so concurrent sessions
-    don't pollute each other's figures).
+    per-request (each request counts into its own {!Omega.Metrics}
+    registry, so concurrent sessions don't pollute each other's
+    figures).
 
     Per-client fairness is budget governance, not preemption: each
     request's limits are clamped to the service quota
@@ -78,11 +79,3 @@ val note_reaped : t -> unit
 
 val analyze_payload : in_bounds:bool -> Lang.Ir.program -> Json.t
 val parallelize_payload : in_bounds:bool -> Lang.Ir.program -> Json.t
-
-val governance_json : unit -> Json.t
-(** Current solver telemetry + quick-screen counters, as attached to
-    responses.  Not part of the deterministic payload: a warm cache
-    legitimately answers with fewer solver queries than a cold one. *)
-
-val memo_report : req_hits:int -> req_misses:int -> Protocol.memo_report
-(** Lifetime memo counters paired with the given per-request deltas. *)

@@ -76,9 +76,45 @@ let signature src : string =
        (Serve.Service.parallelize_payload ~in_bounds:false prog));
   Buffer.contents buf
 
-let corpus_pass lims =
-  Budget.with_limits lims (fun () ->
-      List.map (fun (name, src) -> (name, signature src)) programs)
+let corpus_pass ?wall lims =
+  Budget.with_wall_deadline wall (fun () ->
+      Budget.with_limits lims (fun () ->
+          List.map (fun (name, src) -> (name, signature src)) programs))
+
+(* Every cell of a registry the sharded merge must reproduce: queries,
+   give-ups, peaks, the worst query, tier attempts/decides and the FM
+   counts.  Elapsed times are clocks, and interning counts depend on
+   each domain's own intern table. *)
+let deterministic_cells m =
+  let rec flat path = function
+    | Metrics.Obj kvs ->
+      List.concat_map (fun (k, v) -> flat (path ^ "." ^ k) v) kvs
+    | Metrics.Int n -> [ (path, string_of_int n) ]
+    | Metrics.Str s -> [ (path, s) ]
+    | Metrics.Float _ -> []
+  in
+  List.concat_map
+    (fun under -> flat under (Metrics.Obj (Metrics.to_json ~under m)))
+    [ "solver"; "tiers"; "elim" ]
+  |> List.filter (fun (path, _) ->
+         not (String.starts_with ~prefix:"elim.intern" path))
+
+(* The registry of one whole-corpus [Driver.analyze] pass, memo off so
+   every query is computed exactly once. *)
+let counted_pass () =
+  let saved = !Analyses.Memo.enabled in
+  Analyses.Memo.enabled := false;
+  Fun.protect
+    ~finally:(fun () -> Analyses.Memo.enabled := saved)
+    (fun () ->
+      snd
+        (Metrics.scoped (fun () ->
+             List.iter
+               (fun (_, src) ->
+                 ignore
+                   (Driver.analyze
+                      (Lang.Sema.analyze (Lang.Parser.parse_string src))))
+               programs)))
 
 (* Width is process-global state shared with every other test in this
    binary: always restore 1. *)
@@ -94,16 +130,30 @@ let diff_check label serial sharded =
 
 let test_widths_and_budgets () =
   List.iter
-    (fun (bname, lims) ->
-      let serial = corpus_pass lims in
+    (fun (bname, lims, wall) ->
+      let serial = corpus_pass ?wall lims in
       List.iter
         (fun n ->
-          let sharded = with_width n (fun () -> corpus_pass lims) in
+          let sharded = with_width n (fun () -> corpus_pass ?wall lims) in
           diff_check
             (Printf.sprintf "%d domains, %s budget" n bname)
             serial sharded)
         [ 2; 3 ])
-    [ ("default", Budget.default); ("tiny", tiny) ];
+    [
+      ("default", Budget.default, None);
+      ("tiny", tiny, None);
+      ("already-expired wall deadline", Budget.default, Some 0.);
+    ];
+  (* the merged registry equals the serial run's *)
+  let serial = deterministic_cells (counted_pass ()) in
+  List.iter
+    (fun n ->
+      check
+        Alcotest.(list (pair string string))
+        (Printf.sprintf "%d domains: merged counts = serial counts" n)
+        serial
+        (deterministic_cells (with_width n counted_pass)))
+    [ 2; 3 ];
   (* the tiny rung must actually bind, or it proves nothing about
      degraded-path determinism *)
   let tiny_pass = corpus_pass tiny in
@@ -130,6 +180,36 @@ let test_fault_injection_config () =
       diff_check "2 domains, 10% injected faults" serial sharded);
   Analyses.Memo.reset ()
 
+(* Every item of a sharded map runs under the submitter's limits and
+   wall deadline, whichever domain claims it.  Items sleep so that both
+   domains claim some. *)
+let test_items_see_submitter_budget () =
+  let wall = Some (Unix.gettimeofday () +. 3600.) in
+  let seen =
+    with_width 2 (fun () ->
+        Budget.with_wall_deadline wall (fun () ->
+            Budget.with_limits tiny (fun () ->
+                Par.map
+                  (fun () ->
+                    Unix.sleepf 0.005;
+                    ( (Domain.self () :> int),
+                      Budget.wall_deadline (),
+                      Budget.current_limits () ))
+                  (Array.make 20 ()))))
+  in
+  let domains = Array.to_list (Array.map (fun (d, _, _) -> d) seen) in
+  check Alcotest.bool "both domains claimed items" true
+    (List.length (List.sort_uniq compare domains) = 2);
+  Array.iter
+    (fun (d, w, l) ->
+      check Alcotest.bool
+        (Printf.sprintf "domain %d item sees the submitter's deadline" d)
+        true (w = wall);
+      check Alcotest.bool
+        (Printf.sprintf "domain %d item sees the submitter's limits" d)
+        true (l = tiny))
+    seen
+
 let test_repeated_runs () =
   let a = with_width 3 (fun () -> corpus_pass Budget.default) in
   let b = with_width 3 (fun () -> corpus_pass Budget.default) in
@@ -146,4 +226,6 @@ let suite =
         test_fault_injection_config;
       Alcotest.test_case "sharded runs are stable across repeats" `Slow
         test_repeated_runs;
+      Alcotest.test_case "sharded items see the submitter's budget" `Quick
+        test_items_see_submitter_budget;
     ] )

@@ -101,7 +101,7 @@ let test_totality_tiny () =
   (* the tiny budget must actually bind somewhere, or this test proves
      nothing about exhaustion handling *)
   check bool_t "tiny budget caused give-ups" true
-    (Budget.Telemetry.gave_up_total () > 0);
+    (Budget.Telemetry.(total_of (current ())) > 0);
   Analyses.Memo.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -171,7 +171,8 @@ let test_fault_injection_soundness () =
           check bool_t
             (Printf.sprintf "seed %d: faults actually fired" seed)
             true
-            ((Budget.Telemetry.current ()).Budget.Telemetry.gave_up_injected
+            (Metrics.count (Metrics.current ())
+               (Budget.gave_up_counter Budget.Injected)
             > 0);
           (* a degraded plan must still execute soundly *)
           List.iter

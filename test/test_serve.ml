@@ -607,11 +607,83 @@ let health_int payload path =
   in
   go payload path
 
+(* Schema lock: the ordered key paths (parents before children) of the
+   operator-facing payloads, as shipped before the metrics registry
+   rendered them.  A drift in the exporter fails here first. *)
+let rec key_paths ?(prefix = "") = function
+  | Json.Obj kvs ->
+    List.concat_map
+      (fun (k, v) ->
+        let p = if prefix = "" then k else prefix ^ "." ^ k in
+        p :: key_paths ~prefix:p v)
+      kvs
+  | _ -> []
+
+let tier_paths =
+  [
+    "tiers"; "tiers.quick"; "tiers.quick.attempts";
+    "tiers.quick.decides"; "tiers.quick.ms"; "tiers.screen";
+    "tiers.screen.attempts"; "tiers.screen.decides"; "tiers.screen.ms";
+    "tiers.fast"; "tiers.fast.attempts"; "tiers.fast.decides";
+    "tiers.fast.ms"; "tiers.complete"; "tiers.complete.attempts";
+    "tiers.complete.decides"; "tiers.complete.ms"
+  ]
+
+let governance_paths =
+  [
+    "queries"; "gave_up"; "gave_up.fuel"; "gave_up.splinters";
+    "gave_up.disjuncts"; "gave_up.deadline"; "gave_up.injected";
+    "gave_up.incomplete"; "peak_fuel"; "peak_splinters"; "worst_query";
+    "worst_fuel"; "backend"
+  ]
+  @ tier_paths
+
+let stats_paths =
+  [
+    "requests"; "requests.analyze"; "requests.parallelize";
+    "requests.omega_calc"; "requests.stats"; "requests.errors";
+    "connections"; "connections.open"; "connections.total"; "memo";
+    "memo.req_hits"; "memo.req_misses"; "memo.hits"; "memo.misses";
+    "memo.size"; "memo.capacity"; "memo.evictions"; "memo_hit_rate";
+    "backend"
+  ]
+  @ tier_paths
+  @ [
+      "quota"; "quota.fuel"; "quota.splinters"; "quota.disjuncts";
+      "quota.deadline_ms"
+    ]
+
+let health_paths =
+  [
+    "uptime_s"; "in_flight"; "max_inflight"; "shed"; "shed.requests";
+    "shed.connections"; "reaped"; "deadline_refused"; "connections";
+    "connections.open"; "connections.total"; "served"; "errors";
+    "domains"; "memo"; "memo.req_hits"; "memo.req_misses"; "memo.hits";
+    "memo.misses"; "memo.size"; "memo.capacity"; "memo.evictions";
+    "backend"
+  ]
+  @ tier_paths
+
 let test_health () =
   with_server @@ fun path ->
   let c = connect_exn path in
+  let schema = Alcotest.(list string) in
+  (match
+     request_exn c
+       (Protocol.Analyze
+          { program = Corpus.find "example1"; in_bounds = false;
+            budget = Protocol.no_budget; deadline_ms = None })
+   with
+  | Protocol.Result { governance = Some g; _ } ->
+    check schema "governance schema" governance_paths (key_paths g)
+  | _ -> Alcotest.fail "analyze answered without a governance block");
+  (match request_exn c Protocol.Stats with
+  | Protocol.Result { payload; _ } ->
+    check schema "stats schema" stats_paths (key_paths payload)
+  | Protocol.Error_ e -> Alcotest.failf "stats failed: %s" e.message);
   (match request_exn c Protocol.Health with
   | Protocol.Result { payload; _ } ->
+    check schema "health schema" health_paths (key_paths payload);
     check bool_t "in_flight present" true
       (health_int payload [ "in_flight" ] >= 0);
     check bool_t "shed counters present" true
