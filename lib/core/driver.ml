@@ -83,7 +83,7 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
   let ctx = Depctx.create prog in
   let outputs = Deps.all ~in_bounds ctx Deps.Output in
   let antis = Deps.all ~in_bounds ctx Deps.Anti in
-  let process_dst ~kind ~(srcs : Ir.access list) (b : Ir.access) :
+  let process_dst ~(srcs : Ir.access list) (b : Ir.access) :
       flow_result list =
     let writers =
       List.filter (fun w -> w.Ir.array = b.Ir.array) srcs
@@ -92,10 +92,7 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
     let cands =
       List.filter_map
         (fun (a : Ir.access) ->
-          if kind = Deps.Output && a.Ir.acc_id = b.Ir.acc_id && Ir.depth a = 0
-          then None
-          else
-          match Deps.compute ~in_bounds ctx ~src:a ~dst:b ~kind with
+          match Deps.compute ~in_bounds ctx ~src:a ~dst:b ~kind:Deps.Flow with
           | None -> None
           | Some dep ->
             let refined =
@@ -198,7 +195,7 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
      destination order reproduces the serial result list exactly. *)
   let flows =
     Par.map_list
-      (process_dst ~kind:Deps.Flow ~srcs:(Ir.writes prog))
+      (process_dst ~srcs:(Ir.writes prog))
       (Ir.reads prog)
     |> List.concat
   in
@@ -207,61 +204,40 @@ let analyze ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : result =
 (* The same live/dead classification applied to output or anti
    dependences (the paper notes the techniques "can also be applied to
    output and anti-dependences" though its implementation, like our
-   default driver, leaves them untouched).  For output dependences the
-   destinations are writes; for anti dependences the sources are reads
-   (and the killers remain writes). *)
-let classify_kind ?(in_bounds = false) ?(quick = true) (prog : Ir.program)
+   default driver, leaves them untouched).  It classifies the
+   dependences [analyze] already computed, grouped by destination write
+   (the serial (dst, src) order).  For anti dependences the sources are
+   reads; the killers are always writes.  The storage-kill screen is a
+   lookup: [k] can kill [src -> b] only when the same-kind dependence
+   [src -> k] exists, and [r] already lists every one. *)
+let classify_kind ?(in_bounds = false) ?(quick = true) (r : result)
     (kind : Deps.kind) : flow_result list =
+  let writes = Ir.writes r.ctx.Depctx.prog in
+  let classify (deps : Deps.dep list) (b : Ir.access) =
+    List.filter (fun (d : Deps.dep) -> d.Deps.dst.Ir.acc_id = b.Ir.acc_id) deps
+    |> List.map (fun (dep : Deps.dep) ->
+           let src = dep.Deps.src in
+           (* pairwise killing: an intervening write to the same element
+              makes the dependence transitive *)
+           let killer =
+             if dep.Deps.assumed then None
+             else
+               List.find_opt
+                 (fun (k : Ir.access) ->
+                   k.Ir.acc_id <> src.Ir.acc_id
+                   && k.Ir.acc_id <> b.Ir.acc_id
+                   && k.Ir.array = b.Ir.array
+                   && ((not quick) || output_exists deps src k)
+                   && Analyses.kills ~in_bounds r.ctx ~src ~killer:k ~dst:b)
+                 writes
+           in
+           let dead = Option.map (fun k -> Killed k) killer in
+           { dep; refined = None; covers = false; dead })
+  in
   match kind with
-  | Deps.Flow -> (analyze ~in_bounds ~quick prog).flows
-  | Deps.Output | Deps.Anti ->
-    let ctx = Depctx.create prog in
-    let dsts = Ir.writes prog in
-    let srcs =
-      match kind with Deps.Output -> Ir.writes prog | _ -> Ir.reads prog
-    in
-    Par.map_list
-      (fun (b : Ir.access) ->
-        let cands =
-          List.filter_map
-            (fun (a : Ir.access) ->
-              if a.Ir.array <> b.Ir.array then None
-              else if
-                kind = Deps.Output && a.Ir.acc_id = b.Ir.acc_id
-                && Ir.depth a = 0
-              then None
-              else
-                match Deps.compute ~in_bounds ctx ~src:a ~dst:b ~kind with
-                | None -> None
-                | Some dep -> Some { dep; refined = None; covers = false; dead = None })
-            srcs
-        in
-        (* pairwise killing: an intervening write to the same element makes
-           the dependence transitive *)
-        let arr = Array.of_list cands in
-        Array.iteri
-          (fun i fr ->
-            if fr.dead = None && not fr.dep.Deps.assumed then begin
-              let killer =
-                List.find_opt
-                  (fun (k : Ir.access) ->
-                    k.Ir.acc_id <> fr.dep.Deps.src.Ir.acc_id
-                    && k.Ir.acc_id <> b.Ir.acc_id
-                    && k.Ir.array = b.Ir.array
-                    && ((not quick)
-                        || Deps.exists ctx ~src:fr.dep.Deps.src ~dst:k)
-                    && Analyses.kills ~in_bounds ctx ~src:fr.dep.Deps.src
-                         ~killer:k ~dst:b)
-                  (Ir.writes prog)
-              in
-              match killer with
-              | Some k -> arr.(i) <- { fr with dead = Some (Killed k) }
-              | None -> ()
-            end)
-          arr;
-        Array.to_list arr)
-      dsts
-    |> List.concat
+  | Deps.Flow -> r.flows
+  | Deps.Output -> Par.map_list (classify r.outputs) writes |> List.concat
+  | Deps.Anti -> Par.map_list (classify r.antis) writes |> List.concat
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering (the Figure 3 / Figure 4 tables)                   *)

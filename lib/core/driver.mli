@@ -31,11 +31,15 @@ val analyze : ?in_bounds:bool -> ?quick:bool -> Ir.program -> result
     it off runs every general test (exposed for the ablation bench). *)
 
 val classify_kind :
-  ?in_bounds:bool -> ?quick:bool -> Ir.program -> Deps.kind -> flow_result list
-(** Live/dead classification of the given dependence kind.  [Flow] is
-    {!analyze}'s pipeline; [Output]/[Anti] apply the pairwise kill test to
-    storage dependences (an extension the paper describes but leaves
-    unimplemented: an intervening write makes them transitive). *)
+  ?in_bounds:bool -> ?quick:bool -> result -> Deps.kind -> flow_result list
+(** Live/dead classification of one dependence kind of an {!analyze}
+    result, reusing its context and dependences (pass the [in_bounds]
+    the result was computed with).  [Flow] returns its [flows];
+    [Output]/[Anti] apply the pairwise kill test to its storage
+    dependences (an extension the paper describes but leaves
+    unimplemented: an intervening write makes them transitive), in
+    destination-write order.  With [quick], a write [k] is tried as a
+    killer of [src -> b] only when the result lists [src -> k]. *)
 
 (** {1 Quick screens} (exposed for the benches) *)
 

@@ -40,6 +40,7 @@ type loop_info = {
 
 type t = {
   prog : Ir.program;
+  ctx : Depctx.t;
   nodes : node list;
   edges : edge list;
   loops : loop_info list;
@@ -162,30 +163,17 @@ let structure (prog : Ir.program) : node list * loop_info list =
   List.iter (walk []) prog.Ir.stmts;
   (List.rev !nodes, List.rev !loops)
 
-let assemble prog ~(flows : Driver.flow_result list)
-    ~(antis : Driver.flow_result list)
-    ~(outputs : Driver.flow_result list) : t =
-  let nodes, loops = structure prog in
-  let edges =
-    List.map (edge_of_flow_result Deps.Flow) flows
-    @ List.map (edge_of_flow_result Deps.Anti) antis
-    @ List.map (edge_of_flow_result Deps.Output) outputs
-  in
-  { prog; nodes; edges; loops }
-
 let build ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : t =
   let res = Driver.analyze ~in_bounds ~quick prog in
-  let antis = Driver.classify_kind ~in_bounds ~quick prog Deps.Anti in
-  let outputs = Driver.classify_kind ~in_bounds ~quick prog Deps.Output in
-  assemble prog ~flows:res.Driver.flows ~antis ~outputs
-
-let of_result (prog : Ir.program) (res : Driver.result) : t =
-  let unclassified (d : Deps.dep) =
-    { Driver.dep = d; refined = None; covers = false; dead = None }
+  let classify kind =
+    Driver.classify_kind ~in_bounds ~quick res kind
+    |> List.map (edge_of_flow_result kind)
   in
-  assemble prog ~flows:res.Driver.flows
-    ~antis:(List.map unclassified res.Driver.antis)
-    ~outputs:(List.map unclassified res.Driver.outputs)
+  let nodes, loops = structure prog in
+  let edges =
+    classify Deps.Flow @ classify Deps.Anti @ classify Deps.Output
+  in
+  { prog; ctx = res.Driver.ctx; nodes; edges; loops }
 
 (* ------------------------------------------------------------------ *)
 (* DOT                                                                 *)

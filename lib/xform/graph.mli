@@ -17,7 +17,7 @@ type edge = {
   e_kind : Deps.kind;
   e_status : status;
       (** flow status from {!Driver.analyze}; anti/output status from
-          {!Driver.classify_kind} (always [Live] via {!of_result}) *)
+          {!Driver.classify_kind} *)
   e_std_vectors : Dirvec.t list;  (** vectors of the standard analysis *)
   e_vectors : Dirvec.t list;
       (** vectors after extended refinement (= [e_std_vectors] when
@@ -49,19 +49,16 @@ type loop_info = {
 
 type t = {
   prog : Ir.program;
+  ctx : Depctx.t;  (** the analysis context the edges were computed in *)
   nodes : node list;  (** in textual order *)
   edges : edge list;
   loops : loop_info list;  (** in textual order *)
 }
 
 val build : ?in_bounds:bool -> ?quick:bool -> Ir.program -> t
-(** Run {!Driver.analyze} for the flow dependences and
-    {!Driver.classify_kind} for the anti and output dependences, and
-    assemble the graph. *)
-
-val of_result : Ir.program -> Driver.result -> t
-(** Assemble a graph from an existing analysis result; anti and output
-    dependences are taken unclassified (all live). *)
+(** Run {!Driver.analyze} once, classify the anti and output
+    dependences of its result with {!Driver.classify_kind}, and assemble
+    the graph. *)
 
 val carried_levels : Dirvec.t list -> int list
 (** Levels a dependence with the given vectors can be carried at: level

@@ -95,10 +95,15 @@ let prelabel (p : Ast.program) =
   in
   { p with Ast.stmts = List.map fill p.Ast.stmts }
 
-let try_graph (p : Ast.program) : Graph.t option =
-  match Graph.build (Sema.analyze p) with
-  | g -> Some g
-  | exception _ -> None
+(* A program paired with its dependence graph, built on first use and
+   then shared by every pass that sees the program unchanged; [None]
+   when Sema or the driver rejects the program. *)
+let with_graph (p : Ast.program) =
+  ( p,
+    lazy
+      (match Graph.build (Sema.analyze p) with
+      | g -> Some g
+      | exception _ -> None) )
 
 (* ------------------------------------------------------------------ *)
 (* Fusion                                                              *)
@@ -186,23 +191,24 @@ let fusion_legal (g : Graph.t) ~ls1 ~ls2 =
          && Hashtbl.mem in_l1 e.e_dst.Ir.label)
        g.edges)
 
-let fusion_pass p =
+let fusion_pass cur =
   let refused = Hashtbl.create 8 in
   let fused = ref 0 in
-  let rec go p =
+  let rec go ((p, _) as cur) =
     match find_fusion ~refused p with
-    | None -> p
+    | None -> cur
     | Some (p_trial, key, ls1, ls2) -> (
-      match try_graph p_trial with
+      let ((_, g) as trial) = with_graph p_trial in
+      match Lazy.force g with
       | Some g when fusion_legal g ~ls1 ~ls2 ->
         incr fused;
-        go p_trial
+        go trial
       | _ ->
         Hashtbl.replace refused key ();
-        go p)
+        go cur)
   in
-  let p = go p in
-  (p, !fused)
+  let cur = go cur in
+  (cur, !fused)
 
 (* ------------------------------------------------------------------ *)
 (* Interchange                                                         *)
@@ -356,25 +362,25 @@ let find_interchange ~refused (g : Graph.t) verdicts (p : Ast.program) =
   | None -> None
   | Some key -> Some ({ p with Ast.stmts = stmts' }, key)
 
-let interchange_pass p =
+let interchange_pass cur =
   let refused = Hashtbl.create 8 in
   let swapped = ref 0 in
-  let rec go p rounds =
-    if rounds = 0 then p
+  let rec go ((p, g) as cur) rounds =
+    if rounds = 0 then cur
     else
-      match try_graph p with
-      | None -> p
+      match Lazy.force g with
+      | None -> cur
       | Some g -> (
         let verdicts = Parallel.analyze g in
         match find_interchange ~refused g verdicts p with
-        | None -> p
+        | None -> cur
         | Some (p', key) ->
           Hashtbl.replace refused key ();
           incr swapped;
-          go p' (rounds - 1))
+          go (with_graph p') (rounds - 1))
   in
-  let p = go p 8 in
-  (p, !swapped)
+  let cur = go cur 8 in
+  (cur, !swapped)
 
 (* ------------------------------------------------------------------ *)
 (* Write-kill deletion                                                 *)
@@ -394,49 +400,44 @@ let rec delete_labeled l stmts =
 (* One deletion: a write none of whose values are observed (all flow
    edges out are dead) and which a later write terminates (section 4.3:
    every cell it writes is overwritten afterwards). *)
-let find_kill (p : Ast.program) =
-  match Sema.analyze p with
-  | exception _ -> None
-  | ir -> (
-    match Graph.build ir with
-    | exception _ -> None
-    | g ->
-      let ctx = Depend.Depctx.create ir in
-      let writes = Ir.writes ir in
-      let deletable (w : Ir.access) =
-        let flows_live =
-          List.exists
-            (fun (e : Graph.edge) ->
-              e.e_kind = Depend.Deps.Flow
-              && e.e_src.Ir.acc_id = w.Ir.acc_id
-              && Graph.live e)
-            g.edges
-        in
-        (not flows_live)
-        && List.exists
-             (fun (w' : Ir.access) ->
-               w'.Ir.stmt_id <> w.Ir.stmt_id
-               && (match Depend.Analyses.terminates ctx ~src:w ~dst:w' with
-                  | r -> r
-                  | exception _ -> false))
-             writes
-      in
-      List.find_map
-        (fun (w : Ir.access) -> if deletable w then Some w.Ir.label else None)
-        writes)
+let find_kill (g : Graph.t) =
+  let writes = Ir.writes g.prog in
+  let deletable (w : Ir.access) =
+    let flows_live =
+      List.exists
+        (fun (e : Graph.edge) ->
+          e.e_kind = Deps.Flow
+          && e.e_src.Ir.acc_id = w.Ir.acc_id
+          && Graph.live e)
+        g.edges
+    in
+    (not flows_live)
+    && List.exists
+         (fun (w' : Ir.access) ->
+           w'.Ir.stmt_id <> w.Ir.stmt_id
+           && (match Analyses.terminates g.ctx ~src:w ~dst:w' with
+              | r -> r
+              | exception _ -> false))
+         writes
+  in
+  List.find_map
+    (fun (w : Ir.access) -> if deletable w then Some w.Ir.label else None)
+    writes
 
-let writekill_pass p =
+let writekill_pass cur =
   let killed = ref 0 in
-  let rec go p rounds =
+  let rec go (p, g) rounds =
     if rounds = 0 then p
     else
-      match find_kill p with
+      match Option.bind (Lazy.force g) find_kill with
       | None -> p
       | Some label ->
         incr killed;
-        go { p with Ast.stmts = delete_labeled label p.Ast.stmts } (rounds - 1)
+        go
+          (with_graph { p with Ast.stmts = delete_labeled label p.Ast.stmts })
+          (rounds - 1)
   in
-  let p = go p 8 in
+  let p = go cur 8 in
   (p, !killed)
 
 (* ------------------------------------------------------------------ *)
@@ -444,17 +445,19 @@ let writekill_pass p =
 (* ------------------------------------------------------------------ *)
 
 let optimize (p : Ast.program) =
-  let p = prelabel p in
-  match try_graph p with
+  let ((p, g) as cur) = with_graph (prelabel p) in
+  match Lazy.force g with
   | None -> (p, empty_report)
   | Some _ ->
-    let p, fused, swapped =
+    let cur, fused, swapped =
       if !Opt.restructure then begin
-        let p, fused = fusion_pass p in
-        let p, swapped = interchange_pass p in
-        (p, fused, swapped)
+        let cur, fused = fusion_pass cur in
+        let cur, swapped = interchange_pass cur in
+        (cur, fused, swapped)
       end
-      else (p, 0, 0)
+      else (cur, 0, 0)
     in
-    let p, killed = if !Opt.writekill then writekill_pass p else (p, 0) in
+    let p, killed =
+      if !Opt.writekill then writekill_pass cur else (fst cur, 0)
+    in
     (p, { x_fused = fused; x_interchanged = swapped; x_killed = killed })

@@ -23,9 +23,12 @@
       it ([Analyses.terminates], section 4.3 — every cell it writes is
       overwritten later), so the final store is unchanged.
 
-    All passes re-run semantic analysis and the dependence driver on
-    each trial, so a transformation is only committed with a fresh
-    graph as witness.  Statements are pre-labeled so identities survive
+    Every transformation is licensed by a fresh dependence graph of
+    each new program; an unchanged program's graph is reused.  The
+    passes thread the current program with its graph: an accepted
+    trial's graph is carried forward, and write-kill queries the
+    carried graph's analysis context, so each distinct program is
+    analyzed once.  Statements are pre-labeled so identities survive
     restructuring. *)
 
 type report = {

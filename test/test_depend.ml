@@ -383,7 +383,7 @@ for i := 1 to n do
 endfor
 |}
         in
-        let outs = Driver.classify_kind prog Deps.Output in
+        let outs = Driver.classify_kind (Driver.analyze prog) Deps.Output in
         let find src dst =
           List.find_opt
             (fun (fr : Driver.flow_result) ->
@@ -416,7 +416,7 @@ for i := 1 to n do
 endfor
 |}
         in
-        let antis = Driver.classify_kind prog Deps.Anti in
+        let antis = Driver.classify_kind (Driver.analyze prog) Deps.Anti in
         let find src dst =
           List.find_opt
             (fun (fr : Driver.flow_result) ->

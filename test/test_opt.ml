@@ -28,6 +28,41 @@ let with_flags (r, s, e, w) f =
 let analyze src = Sema.analyze (Parser.parse_string src)
 
 (* ------------------------------------------------------------------ *)
+(* Analysis count                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Restructuring analyzes each distinct program once: on matmul no pass
+   fires and no write-kill [terminates] query runs, so with the memo off
+   [optimize] must issue exactly the solver queries of one graph build
+   (the first graph serves fusion, interchange and write-kill alike). *)
+let test_analyzes_once () =
+  let queries f =
+    let q0 = (Omega.Budget.Telemetry.current ()).queries in
+    let v = f () in
+    (v, (Omega.Budget.Telemetry.current ()).queries - q0)
+  in
+  let saved = !Depend.Analyses.Memo.enabled in
+  Depend.Analyses.Memo.enabled := false;
+  Fun.protect
+    ~finally:(fun () -> Depend.Analyses.Memo.enabled := saved)
+    (fun () ->
+      with_flags (true, true, true, true) (fun () ->
+          let ast =
+            Xform.Restructure.prelabel
+              (Parser.parse_string (Corpus.find "matmul"))
+          in
+          let _, one =
+            queries (fun () -> Xform.Graph.build (Sema.analyze ast))
+          in
+          let (_, rep), opt =
+            queries (fun () -> Xform.Restructure.optimize ast)
+          in
+          check bool_t "no pass fires on matmul" true
+            (rep = Xform.Restructure.empty_report);
+          check bool_t "one graph build issues queries" true (one > 0);
+          check int_t "optimize queries = one graph build" one opt))
+
+(* ------------------------------------------------------------------ *)
 (* Interchange legality                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -311,6 +346,8 @@ let suite =
         test_interchange_refusal;
       Alcotest.test_case "fusion licensing" `Quick test_fusion;
       Alcotest.test_case "write-kill deletion" `Quick test_writekill;
+      Alcotest.test_case "restructuring analyzes each program once" `Quick
+        test_analyzes_once;
       Alcotest.test_case "bytecode elision + fusion" `Quick
         test_bytecode_passes;
       Alcotest.test_case "paranoid re-checks over the corpus" `Slow

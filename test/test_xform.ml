@@ -342,6 +342,120 @@ let test_oracle_corpus () =
   check bool_t "almost all corpus programs executable" true (!checked >= 40);
   check bool_t "oracle exercised real claims" true (!claims >= 50)
 
+(* ------------------------------------------------------------------ *)
+(* Graph identity against the per-pair reference classifier            *)
+(* ------------------------------------------------------------------ *)
+
+(* Storage-dependence classification the old way, kept as the oracle for
+   the lookup screen of [Driver.classify_kind]: a fresh [Depctx] per
+   kind, one [Deps.compute] per (dst, src) pair, and each candidate
+   killer screened by a [Deps.exists] solver call. *)
+let reference_storage (prog : Ir.program) (kind : Depend.Deps.kind) =
+  let open Depend in
+  let ctx = Depctx.create prog in
+  let srcs =
+    match kind with Deps.Output -> Ir.writes prog | _ -> Ir.reads prog
+  in
+  List.concat_map
+    (fun (b : Ir.access) ->
+      List.filter_map
+        (fun (a : Ir.access) ->
+          if
+            a.Ir.array <> b.Ir.array
+            || (kind = Deps.Output && a.Ir.acc_id = b.Ir.acc_id
+               && Ir.depth a = 0)
+          then None
+          else
+            Deps.compute ctx ~src:a ~dst:b ~kind
+            |> Option.map (fun (dep : Deps.dep) ->
+                   let killer =
+                     if dep.Deps.assumed then None
+                     else
+                       List.find_opt
+                         (fun (k : Ir.access) ->
+                           k.Ir.acc_id <> a.Ir.acc_id
+                           && k.Ir.acc_id <> b.Ir.acc_id
+                           && k.Ir.array = b.Ir.array
+                           && Deps.exists ctx ~src:a ~dst:k
+                           && Analyses.kills ctx ~src:a ~killer:k ~dst:b)
+                         (Ir.writes prog)
+                   in
+                   (dep, killer)))
+        srcs)
+    (Ir.writes prog)
+
+let vecs_s vs = String.concat " " (List.map Depend.Dirvec.to_string vs)
+let levels_s ls = String.concat "," (List.map string_of_int ls)
+
+let edge_line kind (src : Ir.access) (dst : Ir.access) status std ext stdl
+    extl =
+  Printf.sprintf "%s %s->%s%s std=[%s] ext=[%s] std_levels=[%s] levels=[%s]"
+    (Xform.Graph.kind_string kind) src.Ir.label dst.Ir.label status
+    (vecs_s std) (vecs_s ext) (levels_s stdl) (levels_s extl)
+
+let reference_edges (prog : Ir.program) =
+  let open Depend in
+  let flows =
+    List.map
+      (fun (fr : Driver.flow_result) ->
+        let d = fr.Driver.dep in
+        let status =
+          match fr.Driver.dead with
+          | None -> ""
+          | Some (Driver.Killed k) -> " killed by " ^ k.Ir.label
+          | Some (Driver.Covered c) -> " covered by " ^ c.Ir.label
+        in
+        let ext, extl =
+          match fr.Driver.refined with
+          | Some v -> (v, Xform.Graph.carried_levels v)
+          | None -> (d.Deps.vectors, d.Deps.levels)
+        in
+        edge_line Deps.Flow d.Deps.src d.Deps.dst status d.Deps.vectors ext
+          d.Deps.levels extl)
+      (Driver.analyze prog).Driver.flows
+  in
+  let storage kind =
+    List.map
+      (fun ((d : Deps.dep), killer) ->
+        let status =
+          match killer with
+          | None -> ""
+          | Some (k : Ir.access) -> " killed by " ^ k.Ir.label
+        in
+        edge_line kind d.Deps.src d.Deps.dst status d.Deps.vectors
+          d.Deps.vectors d.Deps.levels d.Deps.levels)
+      (reference_storage prog kind)
+  in
+  flows @ storage Depend.Deps.Anti @ storage Depend.Deps.Output
+
+let graph_edges (g : Xform.Graph.t) =
+  List.map
+    (fun (e : Xform.Graph.edge) ->
+      edge_line e.e_kind e.e_src e.e_dst
+        (Xform.Graph.status_label e.e_status)
+        e.e_std_vectors e.e_vectors e.e_std_levels e.e_levels)
+    g.Xform.Graph.edges
+
+let test_graph_matches_reference () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Sema.analyze (Parser.parse_string src) in
+      let expected = reference_edges prog in
+      List.iter
+        (fun width ->
+          Depend.Par.set_domains width;
+          let got =
+            Fun.protect
+              ~finally:(fun () -> Depend.Par.set_domains 1)
+              (fun () -> graph_edges (Xform.Graph.build prog))
+          in
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "%s at width %d" name width)
+            expected got)
+        [ 1; 2 ])
+    (Corpus.all @ Corpus.stress)
+
 (* Random programs: every extended doall claim must survive execution. *)
 let prop_doall_sound (ast : Ast.program) : bool =
   let prog = Sema.analyze ast in
@@ -390,5 +504,7 @@ let suite =
           test_example9_opaque_bounds;
         Alcotest.test_case "oracle confirms the corpus" `Quick
           test_oracle_corpus;
+        Alcotest.test_case "graph edges = per-pair reference classifier"
+          `Quick test_graph_matches_reference;
       ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) prop_tests )
