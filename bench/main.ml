@@ -2129,9 +2129,11 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
 (* The daemon's two claims, measured.  (1) Serving changes nothing:
    every payload that comes back over the socket is compared
    byte-for-byte against a fresh in-process run through the very
-   payload builders the daemon uses.  (2) The shared verdict cache
-   pays: the warm pass must report per-request memo hits on every
-   request that does solver work at all.  [clients] threads each
+   payload builders the daemon uses.  (2) The shared caches pay: every
+   warm request for a program whose cold requests were exact must be a
+   program-cache hit that runs no solver query and misses no verdict,
+   and a program that gave up cold must still hit the verdict memo on
+   every request that did solver work.  [clients] threads each
    replay the corpus (analyze + parallelize per program) against an
    in-process server on a private Unix socket, twice - a cold pass on
    a fresh cache, then a warm pass on the heated one - and every
@@ -2145,6 +2147,9 @@ type serve_sample = {
   sv_payload : string; (* canonical rendering of the result payload *)
   sv_req_hits : int;
   sv_req_misses : int;
+  sv_program_hit : bool;
+  sv_queries : int; (* solver queries the request ran *)
+  sv_gave_up : int; (* its give-ups, computed or replayed from the memo *)
 }
 
 (* Nearest-rank percentile over an unsorted sample. *)
@@ -2191,11 +2196,34 @@ let serve_pass path ~clients ~programs =
                       | Error e ->
                         failwith (Printf.sprintf "%s %s: %s" op name e)
                       | Ok (payload, memo) ->
-                        let hits, misses =
+                        let hits, misses, program_hit =
                           match memo with
                           | Some m ->
-                            (m.Protocol.mr_req_hits, m.Protocol.mr_req_misses)
-                          | None -> (0, 0)
+                            ( m.Protocol.mr_req_hits,
+                              m.Protocol.mr_req_misses,
+                              m.Protocol.mr_program_hit )
+                          | None -> (0, 0, false)
+                        in
+                        let governance =
+                          match resp with
+                          | Protocol.Result { governance = Some g; _ } -> g
+                          | _ -> Json.Obj []
+                        in
+                        let count path =
+                          List.fold_left
+                            (fun j k -> Option.bind j (Json.member k))
+                            (Some governance) path
+                          |> Fun.flip Option.bind Json.to_int_opt
+                          |> Option.value ~default:0
+                        in
+                        let gave_up =
+                          match Json.member "gave_up" governance with
+                          | Some (Json.Obj reasons) ->
+                            List.fold_left
+                              (fun acc (r, _) -> acc + count [ "gave_up"; r ])
+                              (count [ "replayed_gave_up" ])
+                              reasons
+                          | _ -> count [ "replayed_gave_up" ]
                         in
                         results.(k) <-
                           {
@@ -2205,6 +2233,9 @@ let serve_pass path ~clients ~programs =
                             sv_payload = Json.to_string payload;
                             sv_req_hits = hits;
                             sv_req_misses = misses;
+                            sv_program_hit = program_hit;
+                            sv_queries = count [ "queries" ];
+                            sv_gave_up = gave_up;
                           }
                           :: results.(k)))
                   [
@@ -2256,6 +2287,9 @@ let serve_pass_json ~samples ~wall =
         Json.Int (List.fold_left (fun a s -> a + s.sv_req_hits) 0 samples) );
       ( "req_memo_misses",
         Json.Int (List.fold_left (fun a s -> a + s.sv_req_misses) 0 samples) );
+      ( "program_cache_hits",
+        Json.Int
+          (List.length (List.filter (fun s -> s.sv_program_hit) samples)) );
     ]
 
 let serve_suite ~smoke ~clients ~domains ~out () =
@@ -2329,8 +2363,18 @@ let serve_suite ~smoke ~clients ~domains ~out () =
         let warm, warm_wall = serve_pass path ~clients ~programs in
         check_payloads "cold" cold;
         check_payloads "warm" warm;
-        (* Requests that did solver work cold must replay from the
-           shared cache warm: hits > 0 on the matching warm request. *)
+        (* Every program is sent at least twice cold, so the program
+           cache admits each one whose cold requests were all exact (no
+           give-up, computed or replayed): its warm requests must be
+           program-cache hits that run no solver query and miss no
+           verdict.  A program that gave up cold cannot be admitted; its
+           warm requests that did solver work cold must still hit the
+           verdict memo. *)
+        let inexact =
+          List.filter_map
+            (fun s -> if s.sv_gave_up > 0 then Some s.sv_name else None)
+            (List.concat cold)
+        in
         let cold_traffic =
           List.filter_map
             (fun s ->
@@ -2343,7 +2387,18 @@ let serve_suite ~smoke ~clients ~domains ~out () =
           (fun k samples ->
             List.iter
               (fun s ->
-                if
+                if not (List.mem s.sv_name inexact) then begin
+                  if not s.sv_program_hit then
+                    violate
+                      "warm pass, client %d: %s %s is not a program-cache hit"
+                      k s.sv_op s.sv_name
+                  else if s.sv_queries > 0 || s.sv_req_misses > 0 then
+                    violate
+                      "warm pass, client %d: %s %s hit the program cache but \
+                       ran %d queries, %d memo misses"
+                      k s.sv_op s.sv_name s.sv_queries s.sv_req_misses
+                end
+                else if
                   List.mem (s.sv_name, s.sv_op) cold_traffic
                   && s.sv_req_hits = 0
                 then

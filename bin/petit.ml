@@ -226,10 +226,13 @@ let print_daemon_result resp =
     (match memo with
     | Some m ->
       Printf.eprintf
-        "memo: this request %d hit(s), %d miss(es); daemon lifetime %d \
-         hit(s), %d miss(es), %d/%d entries, %d evicted\n"
-        m.mr_req_hits m.mr_req_misses m.mr_hits m.mr_misses m.mr_size
-        m.mr_capacity m.mr_evictions
+        "memo: this request %s; daemon lifetime %d hit(s), %d miss(es), \
+         %d/%d entries, %d evicted\n"
+        (if m.mr_program_hit then "a program-cache hit (no solver work)"
+         else
+           Printf.sprintf "%d hit(s), %d miss(es)" m.mr_req_hits
+             m.mr_req_misses)
+        m.mr_hits m.mr_misses m.mr_size m.mr_capacity m.mr_evictions
     | None -> ())
 
 let analyze_domains_arg =

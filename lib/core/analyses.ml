@@ -34,42 +34,38 @@ let use_fast_path = ref true
    and [Disproved] replay at any budget (the solver is deterministic, so
    a completed verdict is a fact).  A [Gave_up] replays only while the
    current budget is no larger than the recorded one: raising the budget
-   invalidates cached give-ups, which then recompute.  Fault-injected
-   runs bypass the cache entirely (a fault is a property of the run, not
-   of the problem).
+   invalidates cached give-ups, which then recompute.  A give-up on the
+   wall deadline is never stored: the deadline belongs to one request,
+   and the recorded limits do not include it, so it would replay to
+   callers with time to spare.  Fault-injected runs bypass the cache
+   entirely (a fault is a property of the run, not of the problem).
 
    Timing benches that reproduce the paper's per-query figures must
    disable the cache ([Memo.enabled := false]) or they would measure
    hash lookups instead of eliminations. *)
 module Memo = struct
-  type t = { mutable hits : int; mutable misses : int; mutable evictions : int }
+  type t = Cache.stats = {
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
 
   let enabled = ref true
-  let stats = { hits = 0; misses = 0; evictions = 0 }
+  let capacity = ref 32_768
 
   (* Entries are tagged with the portfolio tier that decided them
      ([None] for a cached give-up), so replays keep the per-tier
-     attribution honest. *)
+     attribution honest.  The daemon shares one table across its
+     connection threads and worker domains; [Cache] serializes access. *)
   let table :
       (string, Budget.verdict * Budget.limits * Portfolio.tier option)
-      Hashtbl.t =
-    Hashtbl.create 4096
+      Cache.t =
+    Cache.create ~capacity
 
-  (* The daemon shares one cache across connection threads, so the
-     table, the eviction queue, and the counters live behind a mutex.
-     The lock covers only lookup and insertion — solver work happens
-     outside it — so contention is a hash probe, not an elimination. *)
-  let lock = Mutex.create ()
-
-  let locked f =
-    Mutex.lock lock;
-    match f () with
-    | v ->
-      Mutex.unlock lock;
-      v
-    | exception e ->
-      Mutex.unlock lock;
-      raise e
+  let stats = Cache.stats table
+  let size () = Cache.size table
+  let reset () = Cache.reset table
+  let hit_rate () = Cache.hit_rate table
 
   (* The calling domain's share of the traffic, in the Metrics registry:
      a petitd request's solver work runs on one worker domain under a
@@ -77,6 +73,10 @@ module Memo = struct
      other sessions hammer the shared table. *)
   let hit_counter = Metrics.counter "memo.hits"
   let miss_counter = Metrics.counter "memo.misses"
+
+  (* A replayed give-up is inexact like a computed one, but runs no
+     query, so [solver.gave_up.*] does not see it. *)
+  let gave_up_counter = Metrics.counter "solver.replayed_gave_up"
 
   let tier_hit_counter =
     let screen = Metrics.counter "memo.hits_screen" in
@@ -87,73 +87,29 @@ module Memo = struct
     | Portfolio.Tier_fast -> fast
     | Portfolio.Tier_complete -> complete
 
-  (* The cache is bounded: beyond [capacity] entries the oldest keys are
-     evicted first-in-first-out.  FIFO (rather than LRU) keeps hits
-     O(1) with no bookkeeping on the hot path; corpus-shaped workloads
-     re-ask a query soon after first posing it, so recency tracking buys
-     little.  [order] may retain keys whose entry was since replaced;
-     eviction skips the stale ones. *)
-  let capacity = ref 32_768
-  let order : string Queue.t = Queue.create ()
-
-  let size () = locked (fun () -> Hashtbl.length table)
-
-  let reset () =
-    locked (fun () ->
-        Hashtbl.reset table;
-        Queue.clear order;
-        stats.hits <- 0;
-        stats.misses <- 0;
-        stats.evictions <- 0)
-
-  let hit_rate () =
-    locked (fun () ->
-        let total = stats.hits + stats.misses in
-        if total = 0 then 0.
-        else float_of_int stats.hits /. float_of_int total)
-
   let replayable (verdict, lims, _tier) =
     match verdict with
     | Budget.Proved | Budget.Disproved -> true
     | Budget.Gave_up _ -> Budget.le (Budget.current_limits ()) lims
 
   let add key verdict tier =
-    (* Read the ambient limits before taking the lock: the entry
-       records the budget the verdict was computed under. *)
-    let entry = (verdict, Budget.current_limits (), tier) in
-    locked (fun () ->
-        let fresh = not (Hashtbl.mem table key) in
-        Hashtbl.replace table key entry;
-        if fresh then begin
-          Queue.push key order;
-          while
-            Hashtbl.length table > !capacity && not (Queue.is_empty order)
-          do
-            let victim = Queue.pop order in
-            if Hashtbl.mem table victim then begin
-              Hashtbl.remove table victim;
-              stats.evictions <- stats.evictions + 1
-            end
-          done
-        end)
+    match verdict with
+    | Budget.Gave_up Budget.Deadline -> ()
+    | _ ->
+      ignore (Cache.add table key (verdict, Budget.current_limits (), tier))
 
   let find key =
-    let found =
-      locked (fun () ->
-          match Hashtbl.find_opt table key with
-          | Some ((verdict, _, tier) as entry) when replayable entry ->
-            stats.hits <- stats.hits + 1;
-            Some (verdict, tier)
-          | _ ->
-            stats.misses <- stats.misses + 1;
-            None)
-    in
-    (match found with
-    | None -> Metrics.incr miss_counter
-    | Some (_, tier) ->
+    match Cache.find ~usable:replayable table key with
+    | None ->
+      Metrics.incr miss_counter;
+      None
+    | Some (verdict, _, tier) ->
       Metrics.incr hit_counter;
-      Option.iter (fun t -> Metrics.incr (tier_hit_counter t)) tier);
-    found
+      Option.iter (fun t -> Metrics.incr (tier_hit_counter t)) tier;
+      (match verdict with
+      | Budget.Gave_up _ -> Metrics.incr gave_up_counter
+      | Budget.Proved | Budget.Disproved -> ());
+      Some (verdict, tier)
 end
 
 (* The canonical alpha-renamed serialization lives in [Canon]: it is

@@ -18,7 +18,11 @@ val use_fast_path : bool ref
     dark-shadow fast path (tier 1). *)
 
 module Memo : sig
-  type t = { mutable hits : int; mutable misses : int; mutable evictions : int }
+  type t = Omega.Cache.stats = {
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
 
   val enabled : bool ref
   (** Verdict cache for {!implies_exists}, keyed on a canonical
@@ -28,8 +32,11 @@ module Memo : sig
       variable renaming.  Entries record the
       {!Budget.current_limits} they were computed under: completed verdicts
       replay at any budget, a [Gave_up] only while the current budget is
-      no larger than the recorded one.  Fault-injected runs bypass the
-      cache.  Disable in timing benches that reproduce per-query
+      no larger than the recorded one.  A give-up on a deadline is never
+      stored: {!Budget.current_limits} does not include a request's wall
+      deadline, so it would replay to callers with time to spare.
+      Fault-injected runs bypass the cache.  The table is an
+      {!Omega.Cache}.  Disable in timing benches that reproduce per-query
       figures — a hit would measure a hash lookup, not an
       elimination. *)
 
@@ -53,12 +60,12 @@ module Memo : sig
 
   (** {2 Concurrency}
 
-      The table, the eviction queue, and the counters are guarded by an
-      internal mutex, so the cache is safe to share across threads (the
-      petitd daemon keeps one warm across every connection).  The lock
-      covers lookups and insertions only — never solver work — and the
-      counter fields of {!stats} must be read, not written, by
-      clients. *)
+      {!Omega.Cache} guards the table, the eviction queue and the
+      counters with one mutex, so the cache is safe to share across
+      threads and domains (the petitd daemon keeps one warm across every
+      connection).  The lock covers lookups and insertions only — never
+      solver work — and the counter fields of {!stats} must be read, not
+      written, by clients. *)
 
   val find : string -> (Budget.verdict * Portfolio.tier option) option
   (** Replayable cached verdict under the current domain's
@@ -68,7 +75,7 @@ module Memo : sig
   val add : string -> Budget.verdict -> Portfolio.tier option -> unit
   (** Record a verdict computed under the current domain's
       {!Budget.current_limits}, tagged with the deciding tier, evicting
-      FIFO beyond {!capacity}. *)
+      FIFO beyond {!capacity}.  [Gave_up Deadline] is dropped. *)
 
   (** {2 Traffic attribution}
 
@@ -83,6 +90,11 @@ module Memo : sig
 
   val tier_hit_counter : Portfolio.tier -> Metrics.counter
   (** Hits whose cached verdict was decided by the given tier. *)
+
+  val gave_up_counter : Metrics.counter
+  (** [solver.replayed_gave_up]: hits that replayed a [Gave_up].  They
+      run no query, so [solver.gave_up.*] does not count them; a result
+      is exact only when both read zero. *)
 end
 
 val implies_exists_decide :

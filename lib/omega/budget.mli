@@ -137,6 +137,9 @@ val fault_injection_active : unit -> bool
 
 val gave_up_counter : reason -> Metrics.counter
 
+val gave_up_of : Metrics.t -> int
+(** The give-ups a registry counts, over every reason. *)
+
 val summary : Metrics.t -> string
 (** One human-readable line for CLI output. *)
 

@@ -180,8 +180,11 @@ let equal a b =
    only (equality never depends on it), so when it fills up it is simply
    cleared: sharing restarts, correctness is untouched.  One table per
    domain: interning from several domains into one Hashtbl would corrupt
-   it, and sharing expressions across domains buys nothing (problems
-   never cross domains mid-query). *)
+   it.  Expressions do cross domains between queries (petitd caches a
+   finished analysis, its context included, and serves it from any
+   worker), which is safe because equality is structural and interning
+   only shares storage: an expression interned on one domain equals its
+   twin built on another. *)
 type interner = { tbl : (int, t list) Hashtbl.t; mutable count : int }
 
 let intern_cap = 1 lsl 16

@@ -139,3 +139,128 @@ let maximize (p : Problem.t) (v : Var.t) :
   | `Unsat -> `Unsat
   | `Unbounded -> `Unbounded
   | `Min x -> `Max (Zint.neg x)
+
+(* A bounded key/value table with first-in-first-out eviction, safe to
+   share across threads and domains: the one cache implementation
+   behind the verdict memo ({!Depend.Analyses.Memo}) and petitd's
+   per-program result cache.
+
+   Beyond the capacity the oldest keys are evicted first.  FIFO rather
+   than LRU keeps a hit O(1) with no bookkeeping on the hot path.  One
+   internal mutex covers the table, the eviction queue and the
+   counters; it is held for a hash probe or an insertion, never while
+   the caller computes a value. *)
+module Cache : sig
+  type stats = {
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+  (** Lifetime traffic since creation or the last {!reset}.  Clients read
+      the fields; only the cache writes them. *)
+
+  type ('k, 'v) t
+
+  val create : capacity:int ref -> ('k, 'v) t
+  (** An empty cache holding at most [!capacity] entries; the bound is
+      read at every insertion, so lowering it takes effect on the next
+      one. *)
+
+  val stats : ('k, 'v) t -> stats
+  val size : ('k, 'v) t -> int
+
+  val reset : ('k, 'v) t -> unit
+  (** Clears the table, the eviction queue and the counters. *)
+
+  val hit_rate : ('k, 'v) t -> float
+  (** Hits over lookups; [0.] when there was none. *)
+
+  val find : ?usable:('v -> bool) -> ('k, 'v) t -> 'k -> 'v option
+  (** The value under the key, if there is one and [usable] accepts it
+      (default: any); counts a hit or a miss. *)
+
+  val mem : ('k, 'v) t -> 'k -> bool
+  (** Whether the key has an entry; counts nothing. *)
+
+  val add : ('k, 'v) t -> 'k -> 'v -> [ `Replaced | `Inserted of int ]
+  (** Store the value under the key.  A key already present keeps its
+      place in the eviction order and has its value replaced; a new key
+      is queued last and evicts the oldest entries beyond the capacity,
+      whose number [`Inserted] carries. *)
+end = struct
+  (* A bounded FIFO cache behind one mutex.  Every key of [table] is in
+     [order] exactly once, oldest first: a replaced value keeps its key's
+     place, and eviction pops the oldest. *)
+
+  type stats = {
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  type ('k, 'v) t = {
+    table : ('k, 'v) Hashtbl.t;
+    order : 'k Queue.t;
+    capacity : int ref;
+    lock : Mutex.t;
+    stats : stats;
+  }
+
+  let create ~capacity =
+    {
+      table = Hashtbl.create 4096;
+      order = Queue.create ();
+      capacity;
+      lock = Mutex.create ();
+      stats = { hits = 0; misses = 0; evictions = 0 };
+    }
+
+  let locked t f = Mutex.protect t.lock f
+  let stats t = t.stats
+  let size t = locked t (fun () -> Hashtbl.length t.table)
+
+  let reset t =
+    locked t (fun () ->
+        Hashtbl.reset t.table;
+        Queue.clear t.order;
+        t.stats.hits <- 0;
+        t.stats.misses <- 0;
+        t.stats.evictions <- 0)
+
+  let hit_rate t =
+    locked t (fun () ->
+        let total = t.stats.hits + t.stats.misses in
+        if total = 0 then 0.
+        else float_of_int t.stats.hits /. float_of_int total)
+
+  let find ?(usable = fun _ -> true) t k =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.table k with
+        | Some v when usable v ->
+          t.stats.hits <- t.stats.hits + 1;
+          Some v
+        | _ ->
+          t.stats.misses <- t.stats.misses + 1;
+          None)
+
+  let mem t k = locked t (fun () -> Hashtbl.mem t.table k)
+
+  let add t k v =
+    locked t (fun () ->
+        let fresh = not (Hashtbl.mem t.table k) in
+        Hashtbl.replace t.table k v;
+        if not fresh then `Replaced
+        else begin
+          Queue.push k t.order;
+          let evicted = ref 0 in
+          while
+            Hashtbl.length t.table > !(t.capacity)
+            && not (Queue.is_empty t.order)
+          do
+            Hashtbl.remove t.table (Queue.pop t.order);
+            incr evicted
+          done;
+          t.stats.evictions <- t.stats.evictions + !evicted;
+          `Inserted !evicted
+        end)
+end

@@ -291,6 +291,7 @@ type memo_report = {
   mr_size : int;
   mr_capacity : int;
   mr_evictions : int;
+  mr_program_hit : bool;
 }
 
 type error_code =
@@ -345,6 +346,7 @@ let memo_json m =
       ("size", Json.Int m.mr_size);
       ("capacity", Json.Int m.mr_capacity);
       ("evictions", Json.Int m.mr_evictions);
+      ("program_hit", Json.Bool m.mr_program_hit);
     ]
 
 let encode_response = function
@@ -398,6 +400,7 @@ let decode_memo j =
         mr_size;
         mr_capacity;
         mr_evictions;
+        mr_program_hit = Json.member "program_hit" j = Some (Json.Bool true);
       }
   | _ -> None
 

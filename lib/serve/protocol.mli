@@ -80,7 +80,10 @@ val decode_request : Json.t -> (int * request, string) result
 (** {1 Responses} *)
 
 (** Verdict-cache telemetry attached to a successful response:
-    [mr_req_*] count this request only, the rest are daemon-lifetime. *)
+    [mr_req_*] count this request only, the rest are daemon-lifetime.
+    [mr_program_hit]: the request was served from petitd's per-program
+    result cache, so it ran no parser, sema or solver code and its
+    [mr_req_*] read zero. *)
 type memo_report = {
   mr_req_hits : int;
   mr_req_misses : int;
@@ -89,6 +92,7 @@ type memo_report = {
   mr_size : int;
   mr_capacity : int;
   mr_evictions : int;
+  mr_program_hit : bool;
 }
 
 type error_code =

@@ -212,8 +212,9 @@ let session t slot peer =
             | `Continue -> if ok then loop ())))
   in
   (try loop () with _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  (* count the reap before the peer can see EOF and ask about it *)
   if !reaped then Service.note_reaped t.service;
+  (try Unix.close fd with Unix.Unix_error _ -> ());
   Service.note_disconnect t.service;
   (* prune this connection's slot — the one fix for the unbounded
      session list a long-lived daemon used to accumulate *)

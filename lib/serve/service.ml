@@ -8,12 +8,14 @@
    domains; sessions landing on distinct workers analyze in parallel.
    Session threads themselves never run solver work: they are systhreads
    sharing the main domain's storage, where in-place solving would race.
-   The verdict memo is the one deliberately shared piece: mutex-guarded,
-   warm across requests and clients.  Each request solves under a fresh
-   metrics registry on its worker, so its response reports exactly how
-   much of the cache this request hit and what the solver did,
-   unpolluted by concurrent sessions; the service folds every request's
-   registry into one lifetime registry under [stats_lock]. *)
+   Two caches are deliberately shared, both mutex-guarded [Omega.Cache]s
+   warm across requests and clients: the verdict memo, and the service's
+   own per-program cache of finished analyses (below).  Each request
+   solves under a fresh metrics registry on its worker, so its response
+   reports exactly how much of the caches this request hit and what the
+   solver did, unpolluted by concurrent sessions; the service folds
+   every request's registry into one lifetime registry under
+   [stats_lock]. *)
 
 open Omega
 module D = Depend
@@ -34,6 +36,31 @@ let shed_conns = Metrics.counter "service.shed.connections"
 let reaped = Metrics.counter "service.reaped"
 let deadline_refused = Metrics.counter "service.deadline_refused"
 let in_flight = Metrics.counter "service.in_flight" (* being solved *)
+let program_hits = Metrics.counter "service.program_cache.hits"
+let program_misses = Metrics.counter "service.program_cache.misses"
+let program_admissions = Metrics.counter "service.program_cache.admissions"
+let program_size = Metrics.counter "service.program_cache.size"
+let program_evictions = Metrics.counter "service.program_cache.evictions"
+
+(* The per-program cache.  The section-4 analyses are a pure function of
+   the program, so an [analyze] or [parallelize] request for a program
+   already analyzed can be answered from the finished graph (whose
+   [result] is the analysis) without parsing or solving anything.  Keys
+   are the exact source text and [in_bounds].  Three rules keep it
+   sound and small:
+   - only exact analyses are admitted: no query gave up, computed or
+     replayed from the memo, and no fault injection.  An exact result is
+     a fact, so it replays at any budget or deadline, and no give-up can
+     leak from one request into another;
+   - a key is admitted on its second sight: the first only enters
+     [seen], a separate table of source digests, so one-shot programs
+     neither cost a graph nor push admitted results out (a digest
+     collision only admits a program early, under its exact key);
+   - both tables are bounded FIFO [Omega.Cache]s of fixed capacity. *)
+let program_capacity = 256
+let seen_capacity = 1024
+
+type key = bool * string
 
 type t = {
   pool : Taskpool.t;
@@ -43,6 +70,8 @@ type t = {
   stats_lock : Mutex.t;
   metrics : Metrics.t;
       (* lifetime: the service counters plus every request's registry *)
+  programs : (key, Xform.Graph.t) Cache.t;
+  seen : (bool * Digest.t, unit) Cache.t;
 }
 
 let create ?memo_capacity ?(quota = Budget.default) ?(domains = 1)
@@ -58,6 +87,8 @@ let create ?memo_capacity ?(quota = Budget.default) ?(domains = 1)
     started = Unix.gettimeofday ();
     stats_lock = Mutex.create ();
     metrics = Metrics.create ();
+    programs = Cache.create ~capacity:(ref program_capacity);
+    seen = Cache.create ~capacity:(ref seen_capacity);
   }
 
 let quota t = t.quota
@@ -143,8 +174,7 @@ let flow_json (fr : D.Driver.flow_result) =
       ("dead", dead);
     ]
 
-let analyze_payload ~in_bounds (prog : Lang.Ir.program) =
-  let r = D.Driver.analyze ~in_bounds prog in
+let analysis_json (r : D.Driver.result) =
   Json.Obj
     [
       ( "live_flows",
@@ -155,6 +185,9 @@ let analyze_payload ~in_bounds (prog : Lang.Ir.program) =
       ("outputs", Json.List (List.map dep_json r.D.Driver.outputs));
     ]
 
+let analyze_payload ~in_bounds prog =
+  analysis_json (D.Driver.analyze ~in_bounds prog)
+
 let priv_json (p : Xform.Privatize.priv) =
   Json.Obj
     [
@@ -163,8 +196,7 @@ let priv_json (p : Xform.Privatize.priv) =
       ("finalize", Json.Bool p.Xform.Privatize.p_finalize);
     ]
 
-let parallelize_payload ~in_bounds (prog : Lang.Ir.program) =
-  let g = Xform.Graph.build ~in_bounds prog in
+let graph_json (g : Xform.Graph.t) =
   let vs = Xform.Parallel.analyze g in
   let std, ext = Xform.Parallel.count_doall vs in
   let verdict (v : Xform.Parallel.verdict) =
@@ -193,6 +225,9 @@ let parallelize_payload ~in_bounds (prog : Lang.Ir.program) =
       ("annotated", Json.Str (Xform.Emit.annotate g vs));
     ]
 
+let parallelize_payload ~in_bounds prog =
+  graph_json (Xform.Graph.build ~in_bounds prog)
+
 let backend_json () =
   ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend))
 
@@ -209,7 +244,8 @@ let memo_report ?request () =
   let m = D.Analyses.Memo.stats in
   let req c = match request with Some r -> Metrics.count r c | None -> 0 in
   {
-    Protocol.mr_req_hits = req D.Analyses.Memo.hit_counter;
+    Protocol.mr_program_hit = req program_hits > 0;
+    mr_req_hits = req D.Analyses.Memo.hit_counter;
     mr_req_misses = req D.Analyses.Memo.miss_counter;
     mr_hits = m.D.Analyses.Memo.hits;
     mr_misses = m.D.Analyses.Memo.misses;
@@ -235,13 +271,12 @@ let memo_report ?request () =
    request that waited in the pool queue gets a correspondingly smaller
    time budget, and one whose deadline passed while queued is refused
    before any solver work runs. *)
-let solve t budget ~wall (f : unit -> Json.t) :
-    (Json.t * Protocol.memo_report * Json.t, exn) result =
+let solve t budget ~wall (f : unit -> 'a) : ('a * Metrics.t, exn) result =
   let result = ref (Error (Failure "petitd: request task never ran")) in
   let task () =
     result :=
       try
-        let payload, m =
+        let ((_, m) as r) =
           Metrics.scoped (fun () ->
               Budget.with_wall_deadline wall (fun () ->
                   if Budget.wall_expired () then
@@ -249,11 +284,21 @@ let solve t budget ~wall (f : unit -> Json.t) :
                   Budget.with_limits (Protocol.clamp_budget budget t.quota) f))
         in
         locked t (fun () -> Metrics.merge_into t.metrics m);
-        Ok (payload, memo_report ~request:m (), governance_json m)
+        Ok r
       with e -> Error e
   in
   Taskpool.run_batch ~participate:false t.pool [ task ];
   !result
+
+let respond ~id (payload, m) =
+  ( Protocol.Result
+      {
+        id;
+        payload;
+        memo = Some (memo_report ~request:m ());
+        governance = Some (governance_json m);
+      },
+    `Continue )
 
 let err ?retry_after_ms t ~id code message =
   bump t errors;
@@ -281,16 +326,57 @@ let admitted t ~id ~wall k =
 let wall_of ~now deadline_ms =
   Option.map (fun ms -> now +. (ms /. 1000.)) deadline_ms
 
-let program_request t ~id ~program ~in_bounds ~budget ~wall payload_of =
+(* The program cache's side of a request, run inside the request's
+   task: a hit renders the cached graph; a first sight marks the key and
+   runs the uncached payload builder; a second sight builds the graph,
+   renders from it and hands it back for admission.  Fault injection
+   bypasses the cache both ways. *)
+let analyze_program t ((in_bounds, program) as key) ~of_graph ~uncached =
+  let cached = not (Budget.fault_injection_active ()) in
+  match if cached then Cache.find t.programs key else None with
+  | Some g ->
+    Metrics.incr program_hits;
+    (of_graph g, None)
+  | None ->
+    let prog = Lang.Sema.analyze (Lang.Parser.parse_string program) in
+    if not cached then (uncached ~in_bounds prog, None)
+    else begin
+      Metrics.incr program_misses;
+      let sight = (in_bounds, Digest.string program) in
+      if Cache.mem t.seen sight then begin
+        let g = Xform.Graph.build ~in_bounds prog in
+        (of_graph g, Some g)
+      end
+      else begin
+        ignore (Cache.add t.seen sight ());
+        (uncached ~in_bounds prog, None)
+      end
+    end
+
+let admit t key g m =
+  if
+    Budget.gave_up_of m = 0
+    && Metrics.count m D.Analyses.Memo.gave_up_counter = 0
+    && not (Budget.fault_injection_active ())
+  then
+    match Cache.add t.programs key g with
+    | `Replaced -> ()
+    | `Inserted evicted ->
+      locked t (fun () ->
+          Metrics.add_to t.metrics program_admissions 1;
+          Metrics.add_to t.metrics program_size (1 - evicted);
+          Metrics.add_to t.metrics program_evictions evicted)
+
+let program_request t ~id ~program ~in_bounds ~budget ~wall ~of_graph
+    ~uncached =
+  let key = (in_bounds, program) in
   match
     solve t budget ~wall (fun () ->
-        let prog = Lang.Sema.analyze (Lang.Parser.parse_string program) in
-        payload_of ~in_bounds prog)
+        analyze_program t key ~of_graph ~uncached)
   with
-  | Ok (payload, memo, governance) ->
-    ( Protocol.Result
-        { id; payload; memo = Some memo; governance = Some governance },
-      `Continue )
+  | Ok ((payload, admitted), m) ->
+    Option.iter (fun g -> admit t key g m) admitted;
+    respond ~id (payload, m)
   | Error (Lang.Parser.Error (msg, pos)) ->
     err t ~id Protocol.Parse_error
       (Printf.sprintf "line %d, column %d: %s" pos.Lang.Ast.line
@@ -315,6 +401,7 @@ let stats_payload t =
         Json.Float
           (if total = 0 then 0.
            else float_of_int m.Protocol.mr_hits /. float_of_int total) );
+      ("program_cache", metrics_obj ~under:"service.program_cache" t.metrics);
       backend_json ();
       tiers_json t.metrics;
       ( "quota",
@@ -362,6 +449,7 @@ let health_payload t =
       ("errors", n errors);
       ("domains", Json.Int (Taskpool.workers t.pool));
       ("memo", Protocol.memo_json m);
+      ("program_cache", metrics_obj ~under:"service.program_cache" t.metrics);
       backend_json ();
       tiers_json t.metrics;
     ]
@@ -374,13 +462,14 @@ let handle t ~peer:_ ~id (req : Protocol.request) =
     let wall = wall_of ~now deadline_ms in
     admitted t ~id ~wall (fun () ->
         program_request t ~id ~program ~in_bounds ~budget ~wall
-          analyze_payload)
+          ~of_graph:(fun g -> analysis_json g.Xform.Graph.result)
+          ~uncached:analyze_payload)
   | Protocol.Parallelize { program; in_bounds; budget; deadline_ms } ->
     bump t parallelize_requests;
     let wall = wall_of ~now deadline_ms in
     admitted t ~id ~wall (fun () ->
         program_request t ~id ~program ~in_bounds ~budget ~wall
-          parallelize_payload)
+          ~of_graph:graph_json ~uncached:parallelize_payload)
   | Protocol.Omega_calc { op; budget; deadline_ms } ->
     bump t calc_requests;
     let wall = wall_of ~now deadline_ms in
@@ -391,10 +480,7 @@ let handle t ~peer:_ ~id (req : Protocol.request) =
               | Ok r -> Calc.result_json r
               | Error msg -> raise (Calc_error msg))
         with
-        | Ok (payload, memo, governance) ->
-          ( Protocol.Result
-              { id; payload; memo = Some memo; governance = Some governance },
-            `Continue )
+        | Ok r -> respond ~id r
         | Error (Budget.Exhausted r) ->
           err t ~id Protocol.Gave_up
             (Printf.sprintf "budget exhausted (%s)"

@@ -12,6 +12,18 @@
     registry, so concurrent sessions don't pollute each other's
     figures).
 
+    Each service also caches finished analyses per program, keyed on
+    the exact source text and [in_bounds]: a program's first request is
+    only remembered, its second is analyzed and admitted when exact (no
+    query gave up, computed or replayed from the memo, and no fault
+    injection), and later [analyze] or [parallelize] requests for it
+    render the cached {!Xform.Graph.t} without parsing or solving.  A
+    hit still passes the admission gate, the deadline check and the
+    worker pool.  Both tables are bounded {!Omega.Cache}s of constant
+    capacity; [stats] and [health] report the cache under
+    [program_cache], and each response's memo report says whether it
+    was a hit.
+
     Per-client fairness is budget governance, not preemption: each
     request's limits are clamped to the service quota
     ({!Protocol.clamp_budget}), so a pathological query burns its own
@@ -28,7 +40,8 @@ val create :
   unit ->
   t
 (** Fresh service state: resets the verdict cache (and bounds it at
-    [memo_capacity] when given); [quota] is the per-request budget
+    [memo_capacity] when given) and starts with an empty program
+    cache; [quota] is the per-request budget
     ceiling (default {!Omega.Budget.default}); [domains] sizes the
     worker-domain pool that runs solver work (default 1 — requests are
     then still serialized, but off the session threads).
@@ -74,7 +87,9 @@ val note_reaped : t -> unit
     Exposed so the CLI's [--json] mode and the serving bench's
     fresh-in-process cross-check build byte-identical answers through
     the very functions the daemon uses.  Both run the analysis
-    themselves; they only read ambient budget limits, so wrap them in
+    themselves and never touch the program cache, so they stay the
+    reference a cached answer is checked against; they only read
+    ambient budget limits, so wrap them in
     {!Omega.Budget.with_limits} to reproduce a request's budget. *)
 
 val analyze_payload : in_bounds:bool -> Lang.Ir.program -> Json.t

@@ -40,7 +40,7 @@ type loop_info = {
 
 type t = {
   prog : Ir.program;
-  ctx : Depctx.t;
+  result : Driver.result;
   nodes : node list;
   edges : edge list;
   loops : loop_info list;
@@ -173,7 +173,7 @@ let build ?(in_bounds = false) ?(quick = true) (prog : Ir.program) : t =
   let edges =
     classify Deps.Flow @ classify Deps.Anti @ classify Deps.Output
   in
-  { prog; ctx = res.Driver.ctx; nodes; edges; loops }
+  { prog; result = res; nodes; edges; loops }
 
 (* ------------------------------------------------------------------ *)
 (* DOT                                                                 *)

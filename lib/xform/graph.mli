@@ -49,7 +49,8 @@ type loop_info = {
 
 type t = {
   prog : Ir.program;
-  ctx : Depctx.t;  (** the analysis context the edges were computed in *)
+  result : Driver.result;
+      (** the analysis the edges come from, context included *)
   nodes : node list;  (** in textual order *)
   edges : edge list;
   loops : loop_info list;  (** in textual order *)

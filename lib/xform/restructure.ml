@@ -415,7 +415,7 @@ let find_kill (g : Graph.t) =
     && List.exists
          (fun (w' : Ir.access) ->
            w'.Ir.stmt_id <> w.Ir.stmt_id
-           && (match Analyses.terminates g.ctx ~src:w ~dst:w' with
+           && (match Analyses.terminates g.result.Driver.ctx ~src:w ~dst:w' with
               | r -> r
               | exception _ -> false))
          writes

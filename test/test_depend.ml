@@ -437,6 +437,54 @@ endfor
         let r = analyze "example3" in
         Alcotest.(check int) "one output dep" 1 (List.length r.Driver.outputs);
         Alcotest.(check int) "one anti dep" 1 (List.length r.Driver.antis));
+    Alcotest.test_case "memo never replays a wall-deadline give-up" `Quick
+      (fun () ->
+        (* An expired wall deadline fires at the meter's first clock
+           check, after 256 ticks: kill queries that run longer give up
+           on it.  A later caller with no deadline must get the verdict
+           of a memo-free run, not a replay of that give-up. *)
+        let prog = Lang.Sema.parse_and_analyze (Corpus.find "cholsky") in
+        let ctx = Depctx.create prog in
+        let triples =
+          List.concat_map
+            (fun (d : Deps.dep) ->
+              List.filter_map
+                (fun (k : Lang.Ir.access) ->
+                  if k.Lang.Ir.array = d.Deps.src.Lang.Ir.array then
+                    Some (d.Deps.src, k, d.Deps.dst)
+                  else None)
+                (Lang.Ir.writes prog))
+            (Deps.all ctx Deps.Flow)
+        in
+        let verdict (src, killer, dst) =
+          Analyses.kills_verdict ctx ~src ~killer ~dst
+        in
+        let saved = !Analyses.Memo.enabled in
+        Fun.protect
+          ~finally:(fun () ->
+            Analyses.Memo.enabled := saved;
+            Analyses.Memo.reset ())
+          (fun () ->
+            Analyses.Memo.enabled := false;
+            let reference = List.map verdict triples in
+            Analyses.Memo.enabled := true;
+            Analyses.Memo.reset ();
+            let timed_out =
+              Omega.Budget.with_wall_deadline (Some 0.) (fun () ->
+                  List.filter
+                    (fun q ->
+                      verdict q = Omega.Budget.Gave_up Omega.Budget.Deadline)
+                    triples)
+            in
+            Alcotest.(check bool) "some kill query ran out of time" true
+              (timed_out <> []);
+            List.iter2
+              (fun q expected ->
+                if List.mem q timed_out then
+                  Alcotest.(check string) "verdict without a deadline"
+                    (Omega.Budget.verdict_to_string expected)
+                    (Omega.Budget.verdict_to_string (verdict q)))
+              triples reference));
   ]
 
 let suite = ("depend", unit_tests)

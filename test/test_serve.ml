@@ -189,6 +189,7 @@ let memo_sample =
     mr_size = 7;
     mr_capacity = 64;
     mr_evictions = 0;
+    mr_program_hit = true;
   }
 
 let all_responses : Protocol.response list =
@@ -634,7 +635,7 @@ let governance_paths =
     "queries"; "gave_up"; "gave_up.fuel"; "gave_up.splinters";
     "gave_up.disjuncts"; "gave_up.deadline"; "gave_up.injected";
     "gave_up.incomplete"; "peak_fuel"; "peak_splinters"; "worst_query";
-    "worst_fuel"; "backend"
+    "worst_fuel"; "replayed_gave_up"; "backend"
   ]
   @ tier_paths
 
@@ -644,8 +645,10 @@ let stats_paths =
     "requests.omega_calc"; "requests.stats"; "requests.errors";
     "connections"; "connections.open"; "connections.total"; "memo";
     "memo.req_hits"; "memo.req_misses"; "memo.hits"; "memo.misses";
-    "memo.size"; "memo.capacity"; "memo.evictions"; "memo_hit_rate";
-    "backend"
+    "memo.size"; "memo.capacity"; "memo.evictions"; "memo.program_hit";
+    "memo_hit_rate"; "program_cache"; "program_cache.hits";
+    "program_cache.misses"; "program_cache.admissions"; "program_cache.size";
+    "program_cache.evictions"; "backend"
   ]
   @ tier_paths
   @ [
@@ -660,7 +663,9 @@ let health_paths =
     "connections.open"; "connections.total"; "served"; "errors";
     "domains"; "memo"; "memo.req_hits"; "memo.req_misses"; "memo.hits";
     "memo.misses"; "memo.size"; "memo.capacity"; "memo.evictions";
-    "backend"
+    "memo.program_hit"; "program_cache"; "program_cache.hits";
+    "program_cache.misses"; "program_cache.admissions"; "program_cache.size";
+    "program_cache.evictions"; "backend"
   ]
   @ tier_paths
 
@@ -915,6 +920,198 @@ let test_retry_backoff_deterministic () =
     d1
 
 (* ------------------------------------------------------------------ *)
+(* The per-program result cache                                        *)
+(* ------------------------------------------------------------------ *)
+
+let program_req ?(budget = Protocol.no_budget) ~parallel src =
+  if parallel then
+    Protocol.Parallelize
+      { program = src; in_bounds = false; budget; deadline_ms = None }
+  else
+    Protocol.Analyze
+      { program = src; in_bounds = false; budget; deadline_ms = None }
+
+(* One request through [Service.handle]: the payload text, the memo
+   report and the governance block. *)
+let serve svc req =
+  match fst (Service.handle svc ~peer:"test" ~id:1 req) with
+  | Protocol.Result { payload; memo = Some m; governance = Some g; _ } ->
+    (Json.to_string payload, m, g)
+  | Protocol.Result _ -> Alcotest.fail "result without memo or governance"
+  | Protocol.Error_ e -> Alcotest.failf "request failed: %s" e.message
+
+(* A lifetime program-cache counter, as the stats payload renders it. *)
+let program_cache svc field =
+  match fst (Service.handle svc ~peer:"test" ~id:2 Protocol.Stats) with
+  | Protocol.Result { payload; _ } ->
+    health_int payload [ "program_cache"; field ]
+  | Protocol.Error_ e -> Alcotest.failf "stats failed: %s" e.message
+
+let with_service f =
+  let svc = Service.create () in
+  Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> f svc)
+
+(* The payload of a fresh in-process run with the verdict memo off. *)
+let reference ~parallel src =
+  let saved = !Depend.Analyses.Memo.enabled in
+  Depend.Analyses.Memo.enabled := false;
+  Fun.protect
+    ~finally:(fun () -> Depend.Analyses.Memo.enabled := saved)
+    (fun () ->
+      let prog = Lang.Sema.parse_and_analyze src in
+      Json.to_string
+        (if parallel then Service.parallelize_payload ~in_bounds:false prog
+         else Service.analyze_payload ~in_bounds:false prog))
+
+let test_program_cache_second_sight () =
+  let src = Corpus.find "cholsky" in
+  let expected = reference ~parallel:false src in
+  with_service @@ fun svc ->
+  let p1, m1, _ = serve svc (program_req ~parallel:false src) in
+  check bool_t "first sight: no hit" false m1.Protocol.mr_program_hit;
+  check int_t "first sight: not admitted" 0 (program_cache svc "admissions");
+  let p2, m2, _ = serve svc (program_req ~parallel:false src) in
+  check bool_t "second sight: no hit" false m2.Protocol.mr_program_hit;
+  check int_t "second sight: admitted" 1 (program_cache svc "admissions");
+  let p3, m3, g3 = serve svc (program_req ~parallel:false src) in
+  check bool_t "third sight: a hit" true m3.Protocol.mr_program_hit;
+  check int_t "the hit runs no solver query" 0 (health_int g3 [ "queries" ]);
+  check int_t "the hit looks up no verdict" 0
+    (m3.Protocol.mr_req_hits + m3.Protocol.mr_req_misses);
+  List.iter (check string_t "payload = in-process" expected) [ p1; p2; p3 ];
+  check int_t "one hit" 1 (program_cache svc "hits");
+  check int_t "two misses" 2 (program_cache svc "misses")
+
+let test_program_cache_shared_entry () =
+  let src = Corpus.find "example2" in
+  let an = reference ~parallel:false src
+  and par = reference ~parallel:true src in
+  with_service @@ fun svc ->
+  let steps =
+    [ (false, false); (true, false); (false, true); (true, true) ]
+  in
+  List.iteri
+    (fun i (parallel, hit) ->
+      let p, m, _ = serve svc (program_req ~parallel src) in
+      check string_t
+        (Printf.sprintf "step %d payload" i)
+        (if parallel then par else an)
+        p;
+      check bool_t (Printf.sprintf "step %d hit" i) hit
+        m.Protocol.mr_program_hit)
+    steps;
+  check int_t "one entry" 1 (program_cache svc "size");
+  check int_t "admitted once" 1 (program_cache svc "admissions");
+  check int_t "two hits" 2 (program_cache svc "hits")
+
+let fuel n = { Protocol.no_budget with Protocol.b_fuel = Some n }
+
+let gave_up g =
+  match Json.member "gave_up" g with
+  | Some (Json.Obj reasons) ->
+    List.fold_left
+      (fun acc (r, _) -> acc + health_int g [ "gave_up"; r ])
+      0 reasons
+  | _ -> Alcotest.fail "governance without gave_up"
+
+(* At fuel 100, example2's first parallelize gives up on 4 kill queries;
+   the second computes no give-up but replays those 4 from the memo.
+   Neither may be admitted; an unconstrained request then gets the
+   exact answer, and that one is admitted. *)
+let test_program_cache_never_admits_give_ups () =
+  let src = Corpus.find "example2" in
+  let tight = fuel 100 in
+  let expected = reference ~parallel:true src in
+  with_service @@ fun svc ->
+  let _, _, g1 = serve svc (program_req ~budget:tight ~parallel:true src) in
+  check bool_t "the first send gave up" true (gave_up g1 > 0);
+  let _, _, g2 = serve svc (program_req ~budget:tight ~parallel:true src) in
+  check int_t "the second send computes no give-up" 0 (gave_up g2);
+  check bool_t "the second send replays give-ups" true
+    (health_int g2 [ "replayed_gave_up" ] > 0);
+  check int_t "neither is admitted" 0 (program_cache svc "admissions");
+  let p3, m3, _ = serve svc (program_req ~parallel:true src) in
+  check bool_t "unconstrained: no hit" false m3.Protocol.mr_program_hit;
+  check string_t "unconstrained = memo-free in-process run" expected p3;
+  check int_t "the exact result is admitted" 1
+    (program_cache svc "admissions");
+  let p4, m4, _ = serve svc (program_req ~budget:tight ~parallel:true src) in
+  check bool_t "an exact entry replays at any budget" true
+    m4.Protocol.mr_program_hit;
+  check string_t "the replay is exact" expected p4
+
+(* A second sight whose own queries give up: after an exact first sight
+   the memo replays only exact verdicts, so at fuel 50 the give-ups are
+   all computed (in [Deps] and refinement, which the memo does not
+   cover). *)
+let test_program_cache_never_admits_computed_give_ups () =
+  let src = Corpus.find "example2" in
+  with_service @@ fun svc ->
+  ignore (serve svc (program_req ~parallel:true src));
+  let _, _, g = serve svc (program_req ~budget:(fuel 50) ~parallel:true src) in
+  check bool_t "the second sight gives up" true (gave_up g > 0);
+  check int_t "and replays no give-up" 0
+    (health_int g [ "replayed_gave_up" ]);
+  check int_t "not admitted" 0 (program_cache svc "admissions")
+
+let test_program_cache_fault_bypass () =
+  let src = Corpus.find "example1" in
+  with_service @@ fun svc ->
+  Depend.Analyses.set_fault_injection ~seed:3 ~rate:0.5;
+  Fun.protect ~finally:Depend.Analyses.clear_fault_injection (fun () ->
+      for _ = 1 to 3 do
+        let _, m, _ = serve svc (program_req ~parallel:false src) in
+        check bool_t "no hit under injection" false m.Protocol.mr_program_hit
+      done);
+  List.iter
+    (fun field -> check int_t field 0 (program_cache svc field))
+    [ "hits"; "misses"; "admissions"; "size" ];
+  (* with injection off the key is a first sight again *)
+  let _, m, _ = serve svc (program_req ~parallel:false src) in
+  check bool_t "first clean sight: no hit" false m.Protocol.mr_program_hit;
+  check int_t "not admitted" 0 (program_cache svc "admissions")
+
+let test_program_cache_fresh_service () =
+  let src = Corpus.find "example1" in
+  with_service (fun svc ->
+      for _ = 1 to 3 do
+        ignore (serve svc (program_req ~parallel:false src))
+      done;
+      check int_t "warm service: one hit" 1 (program_cache svc "hits"));
+  with_service @@ fun svc ->
+  let _, m, _ = serve svc (program_req ~parallel:false src) in
+  check bool_t "a new service starts empty" false m.Protocol.mr_program_hit;
+  check int_t "no entry" 0 (program_cache svc "size")
+
+(* Two sessions on a 2-domain daemon repeating the same programs: entries
+   built on one worker domain are rendered on the other, and every
+   payload stays byte-identical to the in-process run. *)
+let test_program_cache_two_domains () =
+  let programs =
+    List.filter
+      (fun (n, _) -> List.mem n [ "example1"; "example2"; "cholsky" ])
+      determinism_programs
+  in
+  let expected = expected_payloads () |> List.filter (fun (n, _, _) ->
+      List.mem_assoc n programs) in
+  with_server ~domains:2 @@ fun path ->
+  let rounds = 3 in
+  let per_client =
+    run_clients path ~clients:2
+      ~programs:(List.concat (List.init rounds (fun _ -> programs)))
+  in
+  List.iteri
+    (fun k rs -> List.iter (check_against expected k) rs)
+    per_client;
+  let c = connect_exn path in
+  (match request_exn c Protocol.Stats with
+  | Protocol.Result { payload; _ } ->
+    check bool_t "program-cache hits across sessions" true
+      (health_int payload [ "program_cache"; "hits" ] > 0)
+  | Protocol.Error_ e -> Alcotest.failf "stats failed: %s" e.message);
+  Client.close c
+
+(* ------------------------------------------------------------------ *)
 (* Memo thread safety                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -984,4 +1181,18 @@ let suite =
       Alcotest.test_case "8 clients over 2 solver domains, identical verdicts"
         `Slow test_concurrent_determinism_domains;
       Alcotest.test_case "memo: concurrent stress" `Quick test_memo_stress;
+      Alcotest.test_case "program cache: admitted on second sight" `Quick
+        test_program_cache_second_sight;
+      Alcotest.test_case "program cache: analyze and parallelize share" `Quick
+        test_program_cache_shared_entry;
+      Alcotest.test_case "program cache: give-ups never admitted" `Quick
+        test_program_cache_never_admits_give_ups;
+      Alcotest.test_case "program cache: computed give-ups never admitted"
+        `Quick test_program_cache_never_admits_computed_give_ups;
+      Alcotest.test_case "program cache: fault injection bypasses" `Quick
+        test_program_cache_fault_bypass;
+      Alcotest.test_case "program cache: a new service starts empty" `Quick
+        test_program_cache_fresh_service;
+      Alcotest.test_case "program cache: 2 sessions over 2 domains" `Quick
+        test_program_cache_two_domains;
     ] )
