@@ -482,16 +482,14 @@ let ablations () =
      Presburger procedure.  Without the DNF pruning this configuration
      took minutes on CHOLSKY (~3000x); with it the complete procedure is
      viable and the fast path is "only" a few times faster.  The tier-0
-     screen is pinned off (backend [Omega]) so the comparison isolates
-     tier 1 against tier 2; the cascade's own win is measured in the
-     analysis suite's portfolio section. *)
-  let saved_backend = !Omega.Portfolio.backend in
-  Omega.Portfolio.backend := Omega.Portfolio.Omega;
+     screen is pinned off so the comparison isolates tier 1 against
+     tier 2; the cascade's own win is measured in the analysis suite's
+     portfolio section. *)
+  Omega.Tuning.screen := false;
   let _, t_fast = time (fun () -> Driver.analyze cholsky) in
-  Analyses.use_fast_path := false;
+  Omega.Tuning.fast_path := false;
   let _, t_slow = time (fun () -> Driver.analyze cholsky) in
-  Analyses.use_fast_path := true;
-  Omega.Portfolio.backend := saved_backend;
+  Omega.Tuning.all_on ();
   Printf.printf
     "ablation-fast-path   : CHOLSKY driver %.1f ms with dark-shadow fast path, %.1f ms general-only (%.2fx)\n"
     (ms t_fast) (ms t_slow)
@@ -619,7 +617,7 @@ let bechamel_benches () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Speedup suite: execute every kernel serial / std-plan / ext-plan    *)
+(* Speedup suite: every kernel serial / std-plan / ext-plan on the VM *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper's payoff, measured: each corpus kernel runs three ways at
@@ -631,54 +629,6 @@ let bechamel_benches () =
 
 (* Deterministic nonzero contents so value propagation is observable. *)
 let speedup_init _ idx = List.fold_left (fun h i -> (h * 31) + i + 17) 7 idx
-
-type speedup_row = {
-  sp_name : string;
-  sp_syms : (string * int) list;
-  sp_loops : int;
-  sp_std_doall : int;
-  sp_ext_doall : int;
-  sp_serial : float;
-  sp_std : float;
-  sp_ext : float;
-  sp_std_regions : int;
-  sp_ext_regions : int;
-  sp_identical : bool;
-}
-
-let json_of_speedup ~domains ~smoke (rows : speedup_row list) =
-  let row r =
-    Json.Obj
-      [
-        ("name", Json.Str r.sp_name);
-        ("syms", Json.Obj (List.map (fun (s, v) -> (s, Json.Int v)) r.sp_syms));
-        ("loops", Json.Int r.sp_loops);
-        ("std_doall", Json.Int r.sp_std_doall);
-        ("ext_doall", Json.Int r.sp_ext_doall);
-        ("serial_ms", jf (ms r.sp_serial));
-        ("std_ms", jf (ms r.sp_std));
-        ("ext_ms", jf (ms r.sp_ext));
-        ("std_speedup", jf (r.sp_serial /. r.sp_std));
-        ("ext_speedup", jf (r.sp_serial /. r.sp_ext));
-        ("std_regions", Json.Int r.sp_std_regions);
-        ("ext_regions", Json.Int r.sp_ext_regions);
-        ("ext_beats_std", Json.Bool (r.sp_ext < r.sp_std));
-        ("identical", Json.Bool r.sp_identical);
-      ]
-  in
-  Json.Obj
-    [
-      ("domains", Json.Int domains);
-      ("smoke", Json.Bool smoke);
-      ("all_identical", Json.Bool (List.for_all (fun r -> r.sp_identical) rows));
-      ( "ext_beats_std",
-        Json.List
-          (List.filter_map
-             (fun r ->
-               if r.sp_ext < r.sp_std then Some (Json.Str r.sp_name) else None)
-             rows) );
-      ("kernels", Json.List (List.map row rows));
-    ]
 
 (* Warmup + best-of-N: one untimed run heats caches, allocators and (for
    the VM) branch predictors, then the minimum of [reps] timed runs is
@@ -693,113 +643,6 @@ let warm_best ~reps f =
       go (min best t) (k - 1)
   in
   go infinity reps
-
-let speedup_suite_interp ~smoke ~domains ~repeat ~out () =
-  let pool = Xform.Exec.create_pool ?size:domains () in
-  let domains = Xform.Exec.pool_size pool in
-  section
-    (Printf.sprintf
-       "Speedup (interp backend): serial vs std-plan vs ext-plan (%d \
-        domain%s%s)"
-       domains
-       (if domains = 1 then "" else "s")
-       (if smoke then ", smoke" else ""));
-  let target = if smoke then 8_000 else 150_000 in
-  let reps = repeat in
-  let best f = warm_best ~reps f in
-  Printf.printf "%-18s %-18s %9s %9s %9s %7s %7s %5s %s\n" "kernel" "syms"
-    "serial" "std(ms)" "ext(ms)" "std-x" "ext-x" "ident" "regions s/e";
-  let rows =
-    List.filter_map
-      (fun name ->
-        let prog = Lang.Sema.parse_and_analyze (Corpus.find name) in
-        let g = Xform.Graph.build prog in
-        let vs = Xform.Parallel.analyze g in
-        let nloops = List.length vs in
-        let std_doall, ext_doall = Xform.Parallel.count_doall vs in
-        let depth =
-          List.fold_left
-            (fun d (l : Xform.Graph.loop_info) -> max d l.Xform.Graph.l_depth)
-            1 g.Xform.Graph.loops
-        in
-        let scale =
-          max 4 (int_of_float (float_of_int target ** (1. /. float_of_int depth)))
-        in
-        match
-          Xform.Oracle.pick_syms
-            ~candidates:[ scale; scale / 2; 100; 50; 10; 8; 6; 5; 4; 3; 2; 1 ]
-            prog
-        with
-        | None -> None
-        | Some syms ->
-          (match Xform.Exec.run_serial ~init:speedup_init prog ~syms with
-          | exception Lang.Interp.Runtime_error _ -> None
-          | serial_mem ->
-            let t_serial =
-              best (fun () ->
-                  ignore (Xform.Exec.run_serial ~init:speedup_init prog ~syms))
-            in
-            let run side =
-              let pl = Xform.Exec.plan side vs in
-              let mem, stats =
-                Xform.Exec.run_parallel ~pool ~init:speedup_init pl prog ~syms
-              in
-              let t =
-                best (fun () ->
-                    ignore
-                      (Xform.Exec.run_parallel ~pool ~init:speedup_init pl
-                         prog ~syms))
-              in
-              (mem, stats, t)
-            in
-            let std_mem, std_stats, t_std = run Xform.Exec.Std in
-            let ext_mem, ext_stats, t_ext = run Xform.Exec.Ext in
-            let identical =
-              Xform.Exec.equal_mem serial_mem std_mem
-              && Xform.Exec.equal_mem serial_mem ext_mem
-            in
-            let row =
-              {
-                sp_name = name;
-                sp_syms = syms;
-                sp_loops = nloops;
-                sp_std_doall = std_doall;
-                sp_ext_doall = ext_doall;
-                sp_serial = t_serial;
-                sp_std = t_std;
-                sp_ext = t_ext;
-                sp_std_regions = std_stats.Xform.Exec.x_regions;
-                sp_ext_regions = ext_stats.Xform.Exec.x_regions;
-                sp_identical = identical;
-              }
-            in
-            Printf.printf
-              "%-18s %-18s %9.1f %9.1f %9.1f %7.2f %7.2f %5s %d/%d\n" name
-              (String.concat ","
-                 (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
-              (ms t_serial) (ms t_std) (ms t_ext) (t_serial /. t_std)
-              (t_serial /. t_ext)
-              (if identical then "yes" else "NO")
-              std_stats.Xform.Exec.x_regions ext_stats.Xform.Exec.x_regions;
-            Some row))
-      Corpus.timing_population
-  in
-  Xform.Exec.shutdown pool;
-  let wins = List.filter (fun r -> r.sp_ext < r.sp_std) rows in
-  let plan_wins =
-    List.filter (fun r -> r.sp_ext_doall > r.sp_std_doall) rows
-  in
-  Printf.printf
-    "\n%d kernels; ext plan beats std plan wall-clock on %d; ext plan \
-     parallelizes more loops on %d; all final states identical to serial: %b\n"
-    (List.length rows) (List.length wins) (List.length plan_wins)
-    (List.for_all (fun r -> r.sp_identical) rows);
-  write_json ~out (json_of_speedup ~domains ~smoke rows);
-  if not (List.for_all (fun r -> r.sp_identical) rows) then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Speedup suite, compiled backend: 4-way trajectory                   *)
-(* ------------------------------------------------------------------ *)
 
 (* serial-interp / serial-VM / std-plan-VM / ext-plan-VM, separating the
    compilation win (interp -> VM, [compile_speedup]) from the
@@ -939,7 +782,6 @@ let json_of_vm_speedup ~domains ~smoke ~repeat (rows : vm_row list) =
   in
   Json.Obj
     [
-      ("backend", Json.Str "vm");
       ("domains", Json.Int domains);
       ("smoke", Json.Bool smoke);
       ("repeat", Json.Int repeat);
@@ -1621,6 +1463,7 @@ let analysis_outcome (prog : Lang.Ir.program) : robust_outcome =
 
 type analysis_cfg = { cf_order : bool; cf_redundancy : bool; cf_hashcons : bool }
 
+let cfg_opt = { cf_order = true; cf_redundancy = true; cf_hashcons = true }
 let cfg_ablated = { cf_order = false; cf_redundancy = false; cf_hashcons = false }
 
 (* Every measured call runs under the no-give-up budget, so differing
@@ -1651,7 +1494,7 @@ let time_subject ~reps ~iters cfg s =
    back-to-back — config-at-a-time passes turned out to be unfair, with
    allocator and frequency drift between the two passes dwarfing the
    effect being measured. *)
-let measure_subject ~reps cfg_opt s =
+let measure_subject ~reps s =
   let o_opt = under cfg_opt (fun () -> analysis_outcome s.as_prog) in
   let o_abl = under cfg_ablated (fun () -> analysis_outcome s.as_prog) in
   let t1 =
@@ -1665,9 +1508,8 @@ let measure_subject ~reps cfg_opt s =
   let t_abl = time_subject ~reps ~iters cfg_ablated s in
   (s.as_name, t_opt, t_abl, o_opt, o_abl)
 
-let json_of_analysis ~smoke ~repeat ~flags ~geo ~corpus ~pairs_speedup
+let json_of_analysis ~smoke ~repeat ~geo ~corpus ~pairs_speedup
     ~geo_programs ~divergences ~rows ~ablation_rows ~parallel ~portfolio =
-  let order, redundancy, hashcons = flags in
   let corpus_abl, corpus_opt, corpus_speedup = corpus in
   Json.Obj
     (parallel
@@ -1675,13 +1517,6 @@ let json_of_analysis ~smoke ~repeat ~flags ~geo ~corpus ~pairs_speedup
       ("portfolio", portfolio);
       ("smoke", Json.Bool smoke);
       ("repeat", Json.Int repeat);
-      ( "flags",
-        Json.Obj
-          [
-            ("order", Json.Bool order);
-            ("redundancy", Json.Bool redundancy);
-            ("hashcons", Json.Bool hashcons);
-          ] );
       ("geomean_speedup", jf geo);
       ("corpus_ablated_ms", jf (ms corpus_abl));
       ("corpus_optimized_ms", jf (ms corpus_opt));
@@ -1716,22 +1551,17 @@ let json_of_analysis ~smoke ~repeat ~flags ~geo ~corpus ~pairs_speedup
              ablation_rows) );
     ])
 
-let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
-    () =
+let analysis_suite ~smoke ~repeat ~out ~domains () =
   section
     (Printf.sprintf
-       "Analysis time: solver core (order=%b redundancy=%b hashcons=%b) vs \
-        fully-ablated baseline%s, best of %d after warmup"
-       order redundancy hashcons
+       "Analysis time: solver core vs fully-ablated baseline%s, best of %d \
+        after warmup"
        (if smoke then ", smoke" else "")
        repeat);
   let reps = repeat in
   let subjects = analysis_subjects () in
   let probes = symbolic_probes () in
-  let cfg_opt =
-    { cf_order = order; cf_redundancy = redundancy; cf_hashcons = hashcons }
-  in
-  let measured = List.map (measure_subject ~reps cfg_opt) subjects in
+  let measured = List.map (measure_subject ~reps) subjects in
   let pairs_opt =
     under cfg_opt (fun () -> warm_best ~reps (fun () -> ignore (pair_timings ())))
   in
@@ -1767,7 +1597,7 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
     | Symbolic.When p -> "when " ^ Omega.Problem.to_string p
     | Symbolic.Unknown r -> "unknown (" ^ Omega.Budget.reason_to_string r ^ ")"
   in
-  under { cf_order = true; cf_redundancy = true; cf_hashcons = true }
+  under cfg_opt
     (fun () ->
       List.iteri
         (fun i (a, b) ->
@@ -1830,25 +1660,15 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
      — dependence sets, direction vectors, kill/cover attribution, and
      doall verdicts all ride in those payloads; (3) the cascade must pay
      for itself on the corpus, with the per-tier traffic reported. *)
-  let with_backend b f =
-    let saved = !Portfolio.backend in
-    Portfolio.backend := b;
-    Fun.protect ~finally:(fun () -> Portfolio.backend := saved) f
-  in
-  let with_fast on f =
-    let saved = !Analyses.use_fast_path in
-    Analyses.use_fast_path := on;
-    Fun.protect ~finally:(fun () -> Analyses.use_fast_path := saved) f
-  in
-  let cascade f = with_backend Portfolio.Cascade f in
   let tier2_only f =
-    with_backend Portfolio.Omega (fun () -> with_fast false f)
+    Omega.Tuning.screen := false;
+    Omega.Tuning.fast_path := false;
+    Fun.protect ~finally:Omega.Tuning.all_on f
   in
   (* (1) the oracle corpus replay *)
   Portfolio.Oracle.enable ();
-  cascade (fun () ->
-      under cfg_opt (fun () ->
-          List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects));
+  under cfg_opt (fun () ->
+      List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects);
   Portfolio.Oracle.disable ();
   let oracle_checks = Portfolio.Oracle.checks () in
   let oracle_bad = Portfolio.Oracle.divergences () in
@@ -1877,7 +1697,7 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
                   (Service.parallelize_payload ~in_bounds:true s.as_prog) ))
           subjects)
   in
-  let pay_cascade = cascade payloads in
+  let pay_cascade = payloads () in
   let pay_tier2 = tier2_only payloads in
   let payloads_identical = ref true in
   List.iter2
@@ -1903,12 +1723,11 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
         acc +. wrap (fun () -> time_subject ~reps ~iters cfg_opt s))
       0. subjects measured
   in
-  let t_cascade = portfolio_corpus_time cascade in
+  let t_cascade = portfolio_corpus_time (fun f -> f ()) in
   let t_tier2 = portfolio_corpus_time tier2_only in
   Portfolio.Stats.reset ();
-  cascade (fun () ->
-      under cfg_opt (fun () ->
-          List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects));
+  under cfg_opt (fun () ->
+      List.iter (fun s -> ignore (analysis_outcome s.as_prog)) subjects);
   let tiers = Omega.Metrics.current () in
   let tier0_decide_fraction =
     let r = (Portfolio.Stats.current ()).Portfolio.Stats.screen in
@@ -1961,7 +1780,7 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
         (fun (flag, cfg) ->
           let t_off = corpus_time cfg in
           Printf.printf
-            "ablation --no-%-10s: corpus %8.1f ms (all-on %8.1f ms, %.2fx \
+            "ablation %-10s off: corpus %8.1f ms (all-on %8.1f ms, %.2fx \
              slower)\n"
             flag (ms t_off) (ms t_all_on) (ratio t_off t_all_on);
           (flag, t_off, t_all_on))
@@ -2114,8 +1933,7 @@ let analysis_suite ~smoke ~repeat ~out ~order ~redundancy ~hashcons ~domains
       ]
   in
   write_json ~out
-    (json_of_analysis ~smoke ~repeat ~flags:(order, redundancy, hashcons)
-       ~geo
+    (json_of_analysis ~smoke ~repeat ~geo
        ~corpus:(corpus_abl, corpus_opt, corpus_speedup)
        ~pairs_speedup:(ratio pairs_abl pairs_opt)
        ~geo_programs ~divergences:!divergences ~rows ~ablation_rows
@@ -3063,12 +2881,7 @@ let () =
       | Some n -> max 1 n
       | None -> if smoke then 1 else 3
     in
-    (match Option.value (opt "--backend" rest) ~default:"vm" with
-    | "vm" -> speedup_vm_suite ~smoke ~domains ~repeat ~out ()
-    | "interp" -> speedup_suite_interp ~smoke ~domains ~repeat ~out ()
-    | b ->
-      Printf.eprintf "unknown --backend %s (vm|interp)\n" b;
-      exit 2)
+    speedup_vm_suite ~smoke ~domains ~repeat ~out ()
   | _ :: "robustness" :: rest ->
     let rec opt key = function
       | k :: v :: _ when k = key -> Some v
@@ -3098,9 +2911,6 @@ let () =
       | None -> if smoke then 1 else 3
     in
     analysis_suite ~smoke ~repeat ~out
-      ~order:(not (List.mem "--no-order" rest))
-      ~redundancy:(not (List.mem "--no-redundancy" rest))
-      ~hashcons:(not (List.mem "--no-hashcons" rest))
       ~domains:(Option.map int_of_string (opt "--domains" rest))
       ()
   | _ :: "serve" :: rest ->
@@ -3132,9 +2942,8 @@ let () =
   | _ ->
     prerr_endline
       "usage: main.exe [speedup [--smoke] [--domains N] [--out FILE] \
-       [--repeat N] [--backend vm|interp] | robustness [--out FILE] \
-       [--seeds S1,S2] | analysis [--smoke] [--out FILE] [--repeat N] \
-       [--domains N] [--no-order] [--no-redundancy] [--no-hashcons] | \
+       [--repeat N] | robustness [--out FILE] [--seeds S1,S2] | \
+       analysis [--smoke] [--out FILE] [--repeat N] [--domains N] | \
        serve [--smoke] [--clients N] [--domains N] [--out FILE] | \
        chaos [--smoke] [--out FILE]]";
     exit 2

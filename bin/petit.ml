@@ -235,39 +235,31 @@ let print_daemon_result resp =
         m.mr_hits m.mr_misses m.mr_size m.mr_capacity m.mr_evictions
     | None -> ())
 
+(* A pool spawns one domain per worker; past the runtime's cap the
+   count is a usage error, not a crash with the earlier domains parked. *)
+let domain_count =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n <= Taskpool.max_workers -> Ok n
+    | Some _ ->
+      Error
+        (`Msg (Printf.sprintf "at most %d domains" Taskpool.max_workers))
+    | None -> Error (`Msg ("invalid domain count " ^ s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let analyze_domains_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some domain_count) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Shard the dependence analysis across $(docv) OCaml domains \
            (default 1: serial).  Verdicts are bit-identical to a serial \
            run; only wall-clock changes.")
 
-let solver_backend_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("omega", Omega.Portfolio.Omega);
-             ("screen", Omega.Portfolio.Screen);
-             ("cascade", Omega.Portfolio.Cascade);
-           ])
-        Omega.Portfolio.Cascade
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Decision-portfolio backend: $(b,cascade) (incomplete screen, \
-           then dark-shadow fast path, then complete Presburger; the \
-           default), $(b,omega) (fast path + complete, no screen), or \
-           $(b,screen) (the O(constraints) screen alone — undecided \
-           queries give up, conservatively).  Verdict-preserving except \
-           for $(b,screen)'s extra give-ups.")
-
 let analyze_cmd =
-  let run file in_bounds spec deadline json connect domains backend =
-    Omega.Portfolio.backend := backend;
+  let run file in_bounds spec deadline json connect domains =
     (match domains with
     | Some n -> Par.set_domains n
     | None -> ());
@@ -310,8 +302,7 @@ let analyze_cmd =
     (* the section 4.5 / 4.7 claim, visible on every run: most kill, cover
        and refinement questions are settled by the cheap tiers without
        consulting the complete Omega test *)
-    Printf.printf "\ntiers (%s backend, attempts/decided): %s\n"
-      (Omega.Portfolio.backend_to_string !Omega.Portfolio.backend)
+    Printf.printf "\ntiers (attempts/decided): %s\n"
       (Omega.Portfolio.summary m);
     let memo = Analyses.Memo.stats in
     let tier_hits t =
@@ -338,8 +329,7 @@ let analyze_cmd =
           refinement, covering and killing.")
     Term.(
       const run $ file_arg $ in_bounds_arg $ budget_spec_term
-      $ request_deadline_arg $ json_arg $ connect_arg $ analyze_domains_arg
-      $ solver_backend_arg)
+      $ request_deadline_arg $ json_arg $ connect_arg $ analyze_domains_arg)
 
 let parallelize_cmd =
   let oracle_arg =
@@ -366,29 +356,23 @@ let parallelize_cmd =
           ~doc:
             "Execute the program three ways (serial, standard-plan parallel, \
              extended-plan parallel over OCaml domains), check the final \
-             array states are identical, and report wall-clock speedups.")
+             array states are identical, and report wall-clock speedups.  \
+             Compiled bytecode runs the plans when the compiler accepts the \
+             program; programs with opaque subscripts or bounds (index \
+             arrays) run on the overlay interpreter.  The report names the \
+             engine.")
   in
   let domains_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some domain_count) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Domain-pool size for --exec (default: \
              Domain.recommended_domain_count).")
   in
-  let backend_arg =
-    Arg.(
-      value
-      & opt (enum [ ("interp", `Interp); ("vm", `Vm) ]) `Interp
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Execution backend for --exec: the tracing interpreter with \
-             overlay stores ($(b,interp)), or compiled bytecode over a flat \
-             arena with slab privatization ($(b,vm)).")
-  in
-  let run file in_bounds spec deadline json connect oracle exec backend
-      domains syms =
+  let run file in_bounds spec deadline json connect oracle exec domains syms
+      =
     (match connect with
     | Some addr ->
       if oracle || exec then begin
@@ -454,16 +438,33 @@ let parallelize_cmd =
           Printf.printf "\nexec: program not executable (%s)\n" msg
         | serial, t_serial ->
           Xform.Exec.with_pool ?size:domains @@ fun pool ->
-          Printf.printf "\nexec (%s; %d domain%s; %s backend):\n"
+          (* The VM runs every program [Compile] accepts; the overlay
+             interpreter is the parallel engine for the rest (opaque
+             subscripts or bounds, i.e. index arrays). *)
+          let vm =
+            match
+              time (fun () -> Xform.Exec.run_serial_vm ~init prog ~syms)
+            with
+            | r -> Ok r
+            | exception Lang.Compile.Unsupported what -> Error what
+          in
+          Printf.printf "\nexec (%s; %d domain%s; %s):\n"
             (String.concat ", "
                (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
             (Xform.Exec.pool_size pool)
             (if Xform.Exec.pool_size pool = 1 then "" else "s")
-            (match backend with `Interp -> "interpreter" | `Vm -> "vm");
+            (match vm with
+            | Ok _ -> "vm engine"
+            | Error what ->
+              Printf.sprintf "overlay interpreter engine; not compilable: %s"
+                what);
           Printf.printf "  serial    %8.2f ms  (interpreter)\n" t_serial;
           let mismatch = ref false in
-          (match backend with
-          | `Interp ->
+          let plans =
+            [ ("std plan", Xform.Exec.Std); ("ext plan", Xform.Exec.Ext) ]
+          in
+          (match vm with
+          | Error _ ->
             List.iter
               (fun (label, side) ->
                 let pl = Xform.Exec.plan side vs in
@@ -485,47 +486,37 @@ let parallelize_cmd =
                   Printf.printf "    %s\n"
                     (Xform.Exec.diff_string
                        (Xform.Exec.diff_mem serial mem)))
-              [ ("std plan", Xform.Exec.Std); ("ext plan", Xform.Exec.Ext) ]
-          | `Vm -> (
-            match
-              time (fun () -> Xform.Exec.run_serial_vm ~init prog ~syms)
-            with
-            | exception Lang.Compile.Unsupported what ->
-              Printf.printf
-                "  vm: not compilable (%s is opaque) — use the interpreter \
-                 backend\n"
-                what
-            | tvm, t_vm ->
-              let ok = Lang.Vm.check_against ~init tvm serial = [] in
-              if not ok then mismatch := true;
-              Printf.printf
-                "  serial vm %8.2f ms  (x%.2f vs interpreter, %d-cell arena, \
-                 final state %s)\n"
-                t_vm (t_serial /. t_vm)
-                (Lang.Vm.unit_ tvm).Lang.Compile.u_arena
-                (if ok then "identical" else "DIFFERS");
-              List.iter
-                (fun (label, side) ->
-                  let pl = Xform.Exec.plan side vs in
-                  let u = Xform.Exec.compile_plan pl prog ~syms in
-                  let (tpar, stats), t =
-                    time (fun () ->
-                        Xform.Exec.run_compiled_vm ~pool ~init u)
-                  in
-                  let ok = Lang.Vm.equal_state tvm tpar in
-                  if not ok then mismatch := true;
-                  Printf.printf
-                    "  %-9s %8.2f ms  (x%.2f, %d doall loop(s), %d region(s), \
-                     %d inlined, final state %s)\n"
-                    label t (t_vm /. t)
-                    (Xform.Exec.doall_count pl)
-                    stats.Xform.Exec.x_regions stats.Xform.Exec.x_inline
-                    (if ok then "identical" else "DIFFERS");
-                  if not ok then
-                    Printf.printf "    %s\n"
-                      (Lang.Vm.diff_string
-                         (Lang.Vm.check_against ~init tpar serial)))
-                [ ("std plan", Xform.Exec.Std); ("ext plan", Xform.Exec.Ext) ]));
+              plans
+          | Ok (tvm, t_vm) ->
+            let ok = Lang.Vm.check_against ~init tvm serial = [] in
+            if not ok then mismatch := true;
+            Printf.printf
+              "  serial vm %8.2f ms  (x%.2f vs interpreter, %d-cell arena, \
+               final state %s)\n"
+              t_vm (t_serial /. t_vm)
+              (Lang.Vm.unit_ tvm).Lang.Compile.u_arena
+              (if ok then "identical" else "DIFFERS");
+            List.iter
+              (fun (label, side) ->
+                let pl = Xform.Exec.plan side vs in
+                let u = Xform.Exec.compile_plan pl prog ~syms in
+                let (tpar, stats), t =
+                  time (fun () -> Xform.Exec.run_compiled_vm ~pool ~init u)
+                in
+                let ok = Lang.Vm.equal_state tvm tpar in
+                if not ok then mismatch := true;
+                Printf.printf
+                  "  %-9s %8.2f ms  (x%.2f, %d doall loop(s), %d region(s), \
+                   %d inlined, final state %s)\n"
+                  label t (t_vm /. t)
+                  (Xform.Exec.doall_count pl)
+                  stats.Xform.Exec.x_regions stats.Xform.Exec.x_inline
+                  (if ok then "identical" else "DIFFERS");
+                if not ok then
+                  Printf.printf "    %s\n"
+                    (Lang.Vm.diff_string
+                       (Lang.Vm.check_against ~init tpar serial)))
+              plans);
           if !mismatch then exit 1)
     end;
     if oracle then begin
@@ -566,8 +557,7 @@ let parallelize_cmd =
     Term.(
       const run $ file_arg $ in_bounds_arg $ budget_spec_term
       $ request_deadline_arg $ json_arg
-      $ connect_arg $ oracle_arg $ exec_arg $ backend_arg $ domains_arg
-      $ syms_arg)
+      $ connect_arg $ oracle_arg $ exec_arg $ domains_arg $ syms_arg)
 
 let graph_cmd =
   let format_arg =

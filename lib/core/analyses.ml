@@ -11,11 +11,6 @@
 
 open Omega
 
-(* Ablation switch for the benches: when false, the portfolio plan omits
-   the dark-shadow + gist fast path (tier 1), so queries the screen
-   passes on go straight to the complete Presburger procedure. *)
-let use_fast_path = ref true
-
 (* ------------------------------------------------------------------ *)
 (* Verdict memoization                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -124,7 +119,8 @@ let memo_key ~hyp lhs ~evars rhs = Canon.key ~hyp lhs ~evars rhs
    tier 0 — the incomplete O(constraints) screen;
    tier 1 — one RHS disjunct's dark projection implied by the LHS
             disjunct (must hold for EVERY lhs disjunct; proves only);
-   tier 2 — the complete Presburger engine (always decides). *)
+   tier 2 — the complete Presburger engine (always decides, so it
+            answers a bool). *)
 
 let screen_tier ~hyp lhs ~evars rhs () = Screen.implies_exists ~hyp lhs ~evars rhs
 
@@ -158,56 +154,50 @@ let complete_tier ~hyp lhs ~evars rhs () =
          (or_ (List.map of_problem lhs))
          (exists evars (or_ (List.map of_problem rhs))))
   in
-  if valid f then Screen.Proved else Screen.Disproved
+  valid f
 
-(* The three-valued query boundary, with tier attribution: any blown
-   budget inside a tier surfaces as [Gave_up], never as an exception,
-   and an exhausted plan (the screen-only backend passing on a query)
-   gives up with [Incomplete]. *)
-let implies_exists_decide ?(label = "query") ~hyp lhs ~evars rhs :
-    Budget.verdict * Portfolio.tier option =
+(* The three-valued query boundary: any blown budget inside a tier
+   surfaces as [Gave_up], never as an exception.  The deciding tier is
+   kept with a memo entry so replays keep the per-tier attribution. *)
+let implies_exists_verdict ?(label = "query") ~hyp lhs ~evars rhs :
+    Budget.verdict =
   (* The fault key is the label-tagged canonical form: computed lazily
      (only when injection is active or the memo needs it), and a pure
      function of the query's content, so a given query faults
      identically in serial and sharded runs. *)
   let canon = lazy (memo_key ~hyp lhs ~evars rhs) in
   let compute () =
-    let tiers =
-      Portfolio.plan
-        ~screen:(screen_tier ~hyp lhs ~evars rhs)
-        ?fast:
-          (if !use_fast_path then Some (fast_tier ~hyp lhs ~evars rhs)
-           else None)
-        ~complete:(complete_tier ~hyp lhs ~evars rhs)
-        ()
-    in
     Portfolio.decide ~label
       ~fault_key:(fun () -> label ^ ":" ^ Lazy.force canon)
-      tiers
+      (Portfolio.plan
+         ~screen:(screen_tier ~hyp lhs ~evars rhs)
+         ~fast:(fast_tier ~hyp lhs ~evars rhs)
+         ~complete:(complete_tier ~hyp lhs ~evars rhs)
+         ())
   in
-  if (not !Memo.enabled) || Budget.fault_injection_active () then compute ()
+  if (not !Memo.enabled) || Budget.fault_injection_active () then
+    fst (compute ())
   else begin
     let key = Lazy.force canon in
     match Memo.find key with
-    | Some (verdict, tier) -> (verdict, tier)
+    | Some (verdict, _) -> verdict
     | None ->
       (* Two threads racing on a fresh key both compute and both add;
          the solver is deterministic, so the duplicated work is the only
          cost and the second [add] just replaces an equal entry. *)
-      let ((verdict, tier) as result) = compute () in
+      let verdict, tier = compute () in
       Memo.add key verdict tier;
-      result
+      verdict
   end
-
-let implies_exists_verdict ?label ~hyp lhs ~evars rhs : Budget.verdict =
-  fst (implies_exists_decide ?label ~hyp lhs ~evars rhs)
 
 (* Every boolean caller uses a positive answer to eliminate or refine a
    dependence, so [Gave_up] maps to [false]: the dependence stays. *)
-let implies_exists ?label ~hyp lhs ~evars rhs : bool =
-  match implies_exists_verdict ?label ~hyp lhs ~evars rhs with
+let proved = function
   | Budget.Proved -> true
   | Budget.Disproved | Budget.Gave_up _ -> false
+
+let implies_exists ?label ~hyp lhs ~evars rhs : bool =
+  proved (implies_exists_verdict ?label ~hyp lhs ~evars rhs)
 
 (* ------------------------------------------------------------------ *)
 (* Shared problem pieces                                               *)
@@ -229,39 +219,26 @@ let dep_problems ?(in_bounds = false) ctx a b : Problem.t list =
 (* Covering (4.2) and terminating (4.3)                                *)
 (* ------------------------------------------------------------------ *)
 
-let proved = function
-  | Budget.Proved -> true
-  | Budget.Disproved | Budget.Gave_up _ -> false
-
 (* Does the write [src] cover [dst]?  (Every element [dst] accesses was
    written by an earlier instance of [src].) *)
-let covers_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
-    ~(dst : Ir.access) : Budget.verdict =
+let covers ?(in_bounds = false) ctx ~(src : Ir.access) ~(dst : Ir.access) =
   let a = Depctx.instantiate ctx src ~tag:"i" in
   let b = Depctx.instantiate ctx dst ~tag:"j" in
   let hyp = Depctx.assumes ctx in
   let lhs = [ Problem.of_list (Depctx.domain ~in_bounds ctx b) ] in
   let rhs = dep_problems ~in_bounds ctx a b in
-  implies_exists_verdict ~label:"cover" ~hyp lhs ~evars:(Depctx.inst_vars a)
-    rhs
-
-let covers ?in_bounds ctx ~src ~dst =
-  proved (covers_verdict ?in_bounds ctx ~src ~dst)
+  implies_exists ~label:"cover" ~hyp lhs ~evars:(Depctx.inst_vars a) rhs
 
 (* Does the write [dst] terminate [src]?  (Every element [src] accesses is
    later overwritten by [dst].) *)
-let terminates_verdict ?(in_bounds = false) ctx ~(src : Ir.access)
-    ~(dst : Ir.access) : Budget.verdict =
+let terminates ?(in_bounds = false) ctx ~(src : Ir.access)
+    ~(dst : Ir.access) =
   let a = Depctx.instantiate ctx src ~tag:"i" in
   let b = Depctx.instantiate ctx dst ~tag:"j" in
   let hyp = Depctx.assumes ctx in
   let lhs = [ Problem.of_list (Depctx.domain ~in_bounds ctx a) ] in
   let rhs = dep_problems ~in_bounds ctx a b in
-  implies_exists_verdict ~label:"terminate" ~hyp lhs
-    ~evars:(Depctx.inst_vars b) rhs
-
-let terminates ?in_bounds ctx ~src ~dst =
-  proved (terminates_verdict ?in_bounds ctx ~src ~dst)
+  implies_exists ~label:"terminate" ~hyp lhs ~evars:(Depctx.inst_vars b) rhs
 
 (* ------------------------------------------------------------------ *)
 (* Killing (4.1)                                                       *)

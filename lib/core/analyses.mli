@@ -13,9 +13,19 @@
 
 open Omega
 
-val use_fast_path : bool ref
-(** Ablation switch: when [false], the portfolio plan omits the
-    dark-shadow fast path (tier 1). *)
+val implies_exists :
+  ?label:string ->
+  hyp:Constr.t list ->
+  Problem.t list ->
+  evars:Var.t list ->
+  Problem.t list ->
+  bool
+(** [implies_exists ~hyp lhs ~evars rhs]: is
+    [hyp => (lhs => exists evars. rhs)] valid (disjunction over each
+    list)?  One governed portfolio query; [label] names it in governance
+    telemetry.  A blown budget or an injected fault gives up, which maps
+    to [false]: conservative, because every caller uses a positive
+    answer to eliminate or refine a dependence. *)
 
 module Memo : sig
   type t = Omega.Cache.stats = {
@@ -97,63 +107,15 @@ module Memo : sig
       is exact only when both read zero. *)
 end
 
-val implies_exists_decide :
-  ?label:string ->
-  hyp:Constr.t list ->
-  Problem.t list ->
-  evars:Var.t list ->
-  Problem.t list ->
-  Budget.verdict * Portfolio.tier option
-(** [implies_exists_decide ~hyp lhs ~evars rhs]: is
-    [hyp => (lhs => exists evars. rhs)] valid (disjunction over each
-    list)?  One governed portfolio query: a blown budget (or an injected
-    fault, or an exhausted screen-only plan) surfaces as [Gave_up],
-    never as an exception.  Also returns the tier that decided ([None]
-    for give-ups).  [label] names the query in governance telemetry. *)
-
-val implies_exists_verdict :
-  ?label:string ->
-  hyp:Constr.t list ->
-  Problem.t list ->
-  evars:Var.t list ->
-  Problem.t list ->
-  Budget.verdict
-(** {!implies_exists_decide} without the tier attribution. *)
-
-val implies_exists :
-  ?label:string ->
-  hyp:Constr.t list ->
-  Problem.t list ->
-  evars:Var.t list ->
-  Problem.t list ->
-  bool
-(** {!implies_exists_verdict} collapsed to a boolean: [Gave_up] maps to
-    [false], which is conservative because every caller uses a positive
-    answer to eliminate or refine a dependence. *)
-
 val dep_problems :
   ?in_bounds:bool -> Depctx.t -> Depctx.inst -> Depctx.inst -> Problem.t list
 (** The dependence problems from one instance to another, one per
     ordering level. *)
 
-val covers_verdict :
-  ?in_bounds:bool ->
-  Depctx.t ->
-  src:Ir.access ->
-  dst:Ir.access ->
-  Budget.verdict
-
 val covers :
   ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> bool
 (** Does the write [src] cover [dst] (write every element [dst] accesses,
     earlier)?  Section 4.2.  [Gave_up] maps to [false]. *)
-
-val terminates_verdict :
-  ?in_bounds:bool ->
-  Depctx.t ->
-  src:Ir.access ->
-  dst:Ir.access ->
-  Budget.verdict
 
 val terminates :
   ?in_bounds:bool -> Depctx.t -> src:Ir.access -> dst:Ir.access -> bool

@@ -5,7 +5,7 @@
    the current limits: elimination steps draw fuel, splinter
    constructions and DNF expansion draw their own counters, and an
    optional wall-clock deadline bounds the whole query.  Exhausting any
-   limit raises [Exhausted], which the query boundary ([run] / [decide])
+   limit raises [Exhausted], which the query boundary ([run])
    turns into a structured [Gave_up] verdict - never an escaping
    exception.
 
@@ -37,7 +37,7 @@
    process-wide setting read by every domain (publish it before
    spawning parallel work). *)
 
-type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Incomplete
+type reason = Fuel | Splinters | Disjuncts | Deadline | Injected
 
 let reason_to_string = function
   | Fuel -> "fuel"
@@ -45,7 +45,6 @@ let reason_to_string = function
   | Disjuncts -> "disjuncts"
   | Deadline -> "deadline"
   | Injected -> "injected"
-  | Incomplete -> "incomplete"
 
 type verdict = Proved | Disproved | Gave_up of reason
 
@@ -136,7 +135,7 @@ let queries = Metrics.counter "solver.queries"
 let gave_up_cells =
   List.map
     (fun r -> (r, Metrics.counter ("solver.gave_up." ^ reason_to_string r)))
-    [ Fuel; Splinters; Disjuncts; Deadline; Injected; Incomplete ]
+    [ Fuel; Splinters; Disjuncts; Deadline; Injected ]
 
 let gave_up_counter r = List.assoc r gave_up_cells
 let peak_fuel = Metrics.gauge "solver.peak_fuel"
@@ -149,19 +148,20 @@ let worst = Metrics.worst ~label:"solver.worst_query" ~value:"solver.worst_fuel"
 let gave_up_of m =
   List.fold_left (fun acc (_, c) -> acc + Metrics.count m c) 0 gave_up_cells
 
+(* Every figure on every line: with no query, the worst is "none". *)
 let summary m =
   let g r = Metrics.count m (gave_up_counter r) in
   let worst_fuel, worst_label = Metrics.worst_of m worst in
   Printf.sprintf
     "%d solver queries, %d gave up (fuel %d, splinters %d, disjuncts %d, \
-     deadline %d, injected %d, incomplete %d); peak fuel %d, peak \
-     splinters %d%s"
+     deadline %d, injected %d); peak fuel %d, peak splinters %d; worst \
+     query %s (fuel %d)"
     (Metrics.count m queries) (gave_up_of m) (g Fuel) (g Splinters)
-    (g Disjuncts) (g Deadline) (g Injected) (g Incomplete)
+    (g Disjuncts) (g Deadline) (g Injected)
     (Metrics.peak m peak_fuel)
     (Metrics.peak m peak_splinters)
-    (if worst_label = "" then ""
-     else Printf.sprintf "; worst query %s (fuel %d)" worst_label worst_fuel)
+    (if worst_label = "" then "none" else worst_label)
+    worst_fuel
 
 module Telemetry = struct
   type t = { queries : int; gave_up : int }
@@ -337,9 +337,3 @@ let run ?(label = "query") ?fault_key (f : unit -> 'a) : ('a, reason) result =
         finish ();
         raise e
     end
-
-let decide ?label ?fault_key (f : unit -> bool) : verdict =
-  match run ?label ?fault_key f with
-  | Ok true -> Proved
-  | Ok false -> Disproved
-  | Error r -> Gave_up r

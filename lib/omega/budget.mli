@@ -4,7 +4,7 @@
     the current limits: elimination steps draw fuel, splinter
     construction and DNF expansion draw their own counters, and an
     optional wall-clock deadline bounds the whole query.  Exhausting any
-    limit raises {!Exhausted}; the query boundary ({!run} / {!decide})
+    limit raises {!Exhausted}; the query boundary ({!run})
     turns that into a structured {!verdict} so no resource blowup ever
     escapes as an exception.
 
@@ -25,12 +25,7 @@
     their domain's world — petitd session threads must ship solver work
     to worker domains rather than run it in place. *)
 
-type reason = Fuel | Splinters | Disjuncts | Deadline | Injected | Incomplete
-(** [Incomplete]: the query ran only incomplete backends (e.g. the
-    screen-only portfolio) and none of them could decide it.  Unlike the
-    resource reasons it signals a capability gap, not an exhausted
-    meter, but clients degrade identically: map it to the sound
-    conservative answer. *)
+type reason = Fuel | Splinters | Disjuncts | Deadline | Injected
 
 val reason_to_string : reason -> string
 
@@ -40,7 +35,7 @@ val verdict_to_string : verdict -> string
 
 exception Exhausted of reason
 (** Raised inside the solver when the ambient meter blows a limit.
-    Always caught by {!run}/{!decide}; escapes only code that enters the
+    Always caught by {!run}; escapes only code that enters the
     solver without a query boundary. *)
 
 type limits = {
@@ -111,9 +106,6 @@ val run :
     problems — so the fault decision is a pure function of (seed, key),
     independent of scheduling and of which domain runs the query.
     Queries without a key never fault. *)
-
-val decide :
-  ?label:string -> ?fault_key:(unit -> string) -> (unit -> bool) -> verdict
 
 (** {1 Fault injection} *)
 

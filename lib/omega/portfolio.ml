@@ -3,23 +3,9 @@
    The cascade is a pure dispatch layer: each tier is a sound closure
    returning a [Screen.answer], the first definite answer wins, and the
    whole run sits inside a [Budget] query boundary so resource blowups
-   and incomplete-plan give-ups surface as structured verdicts.  The
+   surface as structured verdicts.  Every plan ends in the complete
+   tier, which always decides, so a plan never runs out of tiers.  The
    per-tier accounting is a set of cells in the Metrics registry. *)
-
-type backend = Omega | Screen | Cascade
-
-let backend = ref Cascade
-
-let backend_to_string = function
-  | Omega -> "omega"
-  | Screen -> "screen"
-  | Cascade -> "cascade"
-
-let backend_of_string = function
-  | "omega" -> Some Omega
-  | "screen" -> Some Screen
-  | "cascade" -> Some Cascade
-  | _ -> None
 
 type tier = Tier_screen | Tier_fast | Tier_complete
 
@@ -27,12 +13,6 @@ let tier_to_string = function
   | Tier_screen -> "screen"
   | Tier_fast -> "fast"
   | Tier_complete -> "complete"
-
-let tier_of_string = function
-  | "screen" -> Some Tier_screen
-  | "fast" -> Some Tier_fast
-  | "complete" -> Some Tier_complete
-  | _ -> None
 
 (* Per-tier cells, under "tiers.<name>"; [quick] is the driver's
    structural section-4.5 screens. *)
@@ -139,16 +119,25 @@ module Oracle = struct
     Mutex.unlock lock
 end
 
-let plan ?screen ?fast ~complete () =
-  let maybe tier closure plan =
-    match closure with None -> plan | Some f -> (tier, f) :: plan
-  in
-  let upper = maybe Tier_fast fast [ (Tier_complete, complete) ] in
-  match !backend with
-  | Omega -> upper
-  | Screen -> maybe Tier_screen screen []
-  | Cascade ->
-      if !Tuning.screen then maybe Tier_screen screen upper else upper
+(* The incomplete tiers in cascade order, each gated by its Tuning
+   switch, then the complete procedure. *)
+type plan = {
+  incomplete : (tier * (unit -> Screen.answer)) list;
+  complete : unit -> bool;
+}
+
+let plan ~screen ?fast ~complete () =
+  let gated on tier f = if on then [ (tier, f) ] else [] in
+  {
+    incomplete =
+      gated !Tuning.screen Tier_screen screen
+      @ (match fast with
+        | Some f -> gated !Tuning.fast_path Tier_fast f
+        | None -> []);
+    complete;
+  }
+
+let tiers p = List.map fst p.incomplete @ [ Tier_complete ]
 
 let timed tier f =
   let c = cells_of tier in
@@ -159,40 +148,30 @@ let timed tier f =
       Metrics.add_ms c.ms ((Unix.gettimeofday () -. t0) *. 1000.))
     f
 
-let decide ?label ?fault_key tiers =
+let decide ?label ?fault_key p =
   let decided = ref None in
+  let settle tier v =
+    Metrics.incr (cells_of tier).decides;
+    decided := Some tier;
+    v
+  in
+  let complete () = timed Tier_complete p.complete in
   let result =
     Budget.run ?label ?fault_key (fun () ->
         let rec go = function
-          | [] -> raise (Budget.Exhausted Budget.Incomplete)
+          | [] -> settle Tier_complete (complete ())
           | (tier, f) :: rest -> (
               match timed tier f with
               | Screen.Unknown -> go rest
               | answer ->
-                  let v = answer = Screen.Proved in
-                  Metrics.incr (cells_of tier).decides;
-                  decided := Some tier;
-                  (if tier <> Tier_complete && Oracle.active () then
-                     match
-                       List.find_opt (fun (t, _) -> t = Tier_complete) rest
-                     with
-                     | Some (_, comp) ->
-                         let want =
-                           match timed Tier_complete comp
-                           with
-                           | Screen.Proved -> true
-                           | Screen.Disproved -> false
-                           | Screen.Unknown ->
-                               (* the complete tier never passes *)
-                               assert false
-                         in
-                         Oracle.record
-                           (match label with Some l -> l | None -> "?")
-                           tier v want
-                     | None -> ());
+                  let v = settle tier (answer = Screen.Proved) in
+                  if Oracle.active () then
+                    Oracle.record
+                      (Option.value label ~default:"?")
+                      tier v (complete ());
                   v)
         in
-        go tiers)
+        go p.incomplete)
   in
   match result with
   | Ok true -> (Budget.Proved, !decided)

@@ -1,37 +1,22 @@
-(** The tiered decision portfolio: per-query cascade of backends.
+(** The tiered decision portfolio: a per-query cascade of decision
+    procedures.
 
-    A query is posed as a list of {e tiers}, each an attempt that may
-    answer [Proved]/[Disproved] or pass with [Unknown]; the first
-    definite answer wins.  The standard plan cascades the incomplete
+    A query is posed as a {e plan} of tiers: incomplete attempts that
+    may answer [Proved]/[Disproved] or pass with [Unknown], then the
+    complete procedure; the first definite answer wins.  The standard plan cascades the incomplete
     O(constraints) {!Screen} (tier 0) into the dark-shadow fast path
     (tier 1) and finally the complete Presburger procedure (tier 2).
     Because every tier is sound, the cascade changes which procedure
     decides a query — never the verdict.
 
-    The cascade runs inside a {!Budget} query boundary; when the plan
-    runs out of tiers with no definite answer (the screen-only backend
-    on a query beyond its screens), the query gives up with
-    {!Budget.Incomplete}, flowing through the same conservative
-    degradation paths as a blown fuel limit. *)
-
-type backend = Omega | Screen | Cascade
-(** [Omega]: the status-quo pipeline (fast path + complete procedure).
-    [Screen]: tier 0 alone — incomplete; undecided queries give up.
-    [Cascade]: screen first, then the [Omega] tiers (the default). *)
-
-val backend : backend ref
-(** Process-wide backend selection (the [--backend] CLI knob).  Set
-    before fanning out parallel work; worker domains read it freely. *)
-
-val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
+    The cascade runs inside a {!Budget} query boundary.  Every plan
+    ends in the complete procedure, which always decides, so a query
+    gives up only on a blown budget or an injected fault. *)
 
 type tier = Tier_screen | Tier_fast | Tier_complete
 
 val tier_to_string : tier -> string
 (** ["screen"], ["fast"], ["complete"]. *)
-
-val tier_of_string : string -> tier option
 
 (** {1 Tier telemetry}
 
@@ -80,25 +65,29 @@ module Oracle : sig
   val divergences : unit -> divergence list
 end
 
+type plan
+(** The incomplete tiers to try in order, then the complete procedure. *)
+
 val plan :
-  ?screen:(unit -> Screen.answer) ->
+  screen:(unit -> Screen.answer) ->
   ?fast:(unit -> Screen.answer) ->
-  complete:(unit -> Screen.answer) ->
+  complete:(unit -> bool) ->
   unit ->
-  (tier * (unit -> Screen.answer)) list
-(** Assemble the tier list for the current {!backend}: [Omega] takes
-    fast + complete, [Screen] the screen alone, [Cascade] all three.
-    The screen tier is additionally gated by {!Tuning.screen}, the fast
-    tier by the caller passing one (analyses gate it on their own
-    [use_fast_path] switch).  A [Screen] backend with no screen closure
-    yields an empty plan, i.e. an immediate [Gave_up Incomplete]. *)
+  plan
+(** The cascade: the screen, then the fast tier when the caller has one,
+    then [complete].  The two incomplete tiers are gated by
+    {!Tuning.screen} and {!Tuning.fast_path}, read here and nowhere
+    else; with both off the plan is [complete] alone. *)
+
+val tiers : plan -> tier list
+(** The tiers {!decide} consults, in order; the last is always
+    [Tier_complete]. *)
 
 val decide :
   ?label:string ->
   ?fault_key:(unit -> string) ->
-  (tier * (unit -> Screen.answer)) list ->
+  plan ->
   Budget.verdict * tier option
 (** Run the tiers in order inside a {!Budget} query boundary, returning
     the verdict and the tier that decided ([None] for [Gave_up]).  Tier
-    attempts/decides/time are counted in the registry; an exhausted plan
-    raises — and the boundary catches — [Exhausted Incomplete]. *)
+    attempts/decides/time are counted in the registry. *)

@@ -22,12 +22,14 @@ let redundancy = ref true
    cache of the verdict-memo key serializer. *)
 let hashcons = ref true
 
-(* Tier-0 screen of the decision portfolio (Portfolio / Screen): when
-   off, a [Cascade] backend skips the incomplete screen and starts at
-   the dark-shadow fast path, which is exactly the [Omega] backend.
-   Like the switches above this only moves work between (sound)
-   procedures, never changes a verdict. *)
+(* The two incomplete tiers of the decision portfolio (Portfolio /
+   Screen): the tier-0 screen and the tier-1 dark-shadow fast path.
+   With both off every query goes straight to the complete procedure,
+   the tier-2-only reference the benches compare the cascade against.
+   Like the switches above they only move work between (sound)
+   procedures, never change a verdict. *)
 let screen = ref true
+let fast_path = ref true
 
 let set ~order:o ~redundancy:r ~hashcons:h =
   order := o;
@@ -36,7 +38,8 @@ let set ~order:o ~redundancy:r ~hashcons:h =
 
 let all_on () =
   set ~order:true ~redundancy:true ~hashcons:true;
-  screen := true
+  screen := true;
+  fast_path := true
 
 (* Counters of the elimination core, in the metrics registry. *)
 let fm_eliminations = Metrics.counter "elim.fm_eliminations"

@@ -15,15 +15,20 @@ val hashcons : bool ref
     on constraints, interning, and memo-key serialization caches. *)
 
 val screen : bool ref
-(** Tier-0 incomplete screen of the decision portfolio: when [false], a
-    [Cascade] backend degenerates to the plain Omega path (fast path +
-    complete procedure).  Verdict-preserving either way. *)
+(** Tier-0 incomplete screen of the decision portfolio. *)
+
+val fast_path : bool ref
+(** Tier-1 dark-shadow fast path of the decision portfolio.  With
+    {!screen} and [fast_path] both off, every query runs the complete
+    procedure alone.  Verdict-preserving either way; only
+    {!Portfolio.plan} reads the two. *)
 
 val set : order:bool -> redundancy:bool -> hashcons:bool -> unit
-(** Sets the three solver-core switches; {!screen} is independent. *)
+(** Sets the three solver-core switches; the two tier switches are
+    independent. *)
 
 val all_on : unit -> unit
-(** All four switches on (the production configuration). *)
+(** All five switches on (the production configuration). *)
 
 (** {1 Counters}
 

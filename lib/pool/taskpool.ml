@@ -78,7 +78,17 @@ let worker pool () =
   in
   loop ()
 
+(* OCaml 5 runs at most 128 domains in a process, the main one
+   included (Max_domains in caml/domain.h).  Checked before spawning:
+   a [Domain.spawn] past the limit fails with the earlier workers
+   already parked, and nothing would join them. *)
+let max_workers = 127
+
 let create ~workers =
+  if workers > max_workers then
+    invalid_arg
+      (Printf.sprintf "Taskpool.create: %d workers (at most %d)" workers
+         max_workers);
   let pool =
     {
       lock = Mutex.create ();

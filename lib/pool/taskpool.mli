@@ -16,9 +16,15 @@
 
 type t
 
+val max_workers : int
+(** 127: OCaml 5 runs at most 128 domains in a process, the main one
+    included. *)
+
 val create : workers:int -> t
 (** Spawn [max 0 workers] worker domains (the pool is usable with zero
-    workers: batches then run inline in the caller). *)
+    workers: batches then run inline in the caller).  Raises
+    [Invalid_argument], before spawning any, when [workers] exceeds
+    {!max_workers}. *)
 
 val workers : t -> int
 (** Number of spawned worker domains. *)

@@ -228,15 +228,12 @@ let graph_json (g : Xform.Graph.t) =
 let parallelize_payload ~in_bounds prog =
   graph_json (Xform.Graph.build ~in_bounds prog)
 
-let backend_json () =
-  ("backend", Json.Str (Portfolio.backend_to_string !Portfolio.backend))
-
 let metrics_obj ~under m = Json.Obj (Json.of_metrics ~under m)
 let tiers_json m = ("tiers", metrics_obj ~under:"tiers" m)
 
 let governance_json m =
   Json.Obj
-    (Json.of_metrics ~under:"solver" m @ [ backend_json (); tiers_json m ])
+    (Json.of_metrics ~under:"solver" m @ [ tiers_json m ])
 
 (* Lifetime memo counters, paired with one request's own traffic when
    given its registry. *)
@@ -402,7 +399,6 @@ let stats_payload t =
           (if total = 0 then 0.
            else float_of_int m.Protocol.mr_hits /. float_of_int total) );
       ("program_cache", metrics_obj ~under:"service.program_cache" t.metrics);
-      backend_json ();
       tiers_json t.metrics;
       ( "quota",
         Json.Obj
@@ -450,7 +446,6 @@ let health_payload t =
       ("domains", Json.Int (Taskpool.workers t.pool));
       ("memo", Protocol.memo_json m);
       ("program_cache", metrics_obj ~under:"service.program_cache" t.metrics);
-      backend_json ();
       tiers_json t.metrics;
     ]
 

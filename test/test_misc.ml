@@ -108,6 +108,15 @@ endfor
         Alcotest.(check int) "(*,*) gives none" 0
           (List.length
              (Symbolic.restraint_constraints a b [ Dirvec.Any; Dirvec.Any ])));
+    (* past the runtime's 128-domain cap the pool must refuse before
+       spawning any worker, not fail midway with the others parked *)
+    Alcotest.test_case "taskpool rejects more workers than domains exist"
+      `Quick (fun () ->
+        match Taskpool.create ~workers:1000 with
+        | exception Invalid_argument _ -> ()
+        | p ->
+          Taskpool.shutdown p;
+          Alcotest.fail "expected Invalid_argument");
   ]
 
 let fparse_tests =

@@ -6,9 +6,11 @@
    - the GCD/divisibility and interval screens on hand-built problems
      and on the figure 6/7 write/read pair corpus, where the cascade
      must reproduce the Omega-only dependence vectors exactly;
-   - degradation: an exhausted plan gives up instead of answering, and
-     tightening the budget can only turn Proved into Gave_up — never
-     flip a verdict. *)
+   - plan shapes: every plan ends in the complete tier, and the Tuning
+     switches drop the incomplete tiers the benches' tier-2-only
+     reference leaves out;
+   - degradation: tightening the budget can only turn Proved into
+     Gave_up — never flip a verdict. *)
 
 open Omega
 open Depend
@@ -16,10 +18,11 @@ open Depend
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 
-let with_backend b f =
-  let saved = !Portfolio.backend in
-  Portfolio.backend := b;
-  Fun.protect ~finally:(fun () -> Portfolio.backend := saved) f
+(* Run [f] with the two incomplete tiers switched as given. *)
+let with_tiers ~screen ~fast f =
+  Tuning.screen := screen;
+  Tuning.fast_path := fast;
+  Fun.protect ~finally:Tuning.all_on f
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built screen instances                                         *)
@@ -99,11 +102,10 @@ let unit_tests =
     ( "portfolio: first definite tier wins and is attributed",
       `Quick,
       fun () ->
-        with_backend Portfolio.Cascade @@ fun () ->
         let tiers =
           Portfolio.plan
             ~screen:(fun () -> Screen.Proved)
-            ~complete:(fun () -> Screen.Disproved)
+            ~complete:(fun () -> false)
             ()
         in
         match Portfolio.decide ~label:"test/first-wins" tiers with
@@ -111,25 +113,29 @@ let unit_tests =
         | v, _ ->
           Alcotest.failf "expected screen-tier Proved, got %s"
             (Budget.verdict_to_string v) );
-    ( "portfolio: exhausted plan gives up as Incomplete",
+    ( "portfolio: plan shapes under the tier switches",
       `Quick,
       fun () ->
-        with_backend Portfolio.Screen @@ fun () ->
-        let tiers =
-          Portfolio.plan
-            ~screen:(fun () -> Screen.Unknown)
-            ~complete:(fun () -> Screen.Proved)
-            ()
+        let shape ~screen ~fast =
+          with_tiers ~screen ~fast @@ fun () ->
+          Portfolio.tiers
+            (Portfolio.plan
+               ~screen:(fun () -> Screen.Unknown)
+               ~fast:(fun () -> Screen.Unknown)
+               ~complete:(fun () -> true)
+               ())
+          |> List.map Portfolio.tier_to_string
         in
-        match Portfolio.decide ~label:"test/incomplete" tiers with
-        | Budget.Gave_up Budget.Incomplete, None -> ()
-        | v, _ ->
-          Alcotest.failf "expected Gave_up incomplete, got %s"
-            (Budget.verdict_to_string v) );
+        let shape_t = Alcotest.(list string) in
+        check shape_t "default" [ "screen"; "fast"; "complete" ]
+          (shape ~screen:true ~fast:true);
+        check shape_t "screen off" [ "fast"; "complete" ]
+          (shape ~screen:false ~fast:true);
+        check shape_t "both off" [ "complete" ]
+          (shape ~screen:false ~fast:false) );
     ( "portfolio: cascade degrades monotonically under fuel",
       `Quick,
       fun () ->
-        with_backend Portfolio.Cascade @@ fun () ->
         let burn n =
           Budget.with_meter (fun m ->
               for _ = 1 to n do
@@ -144,7 +150,7 @@ let unit_tests =
                       ~screen:(fun () -> Screen.Unknown)
                       ~complete:(fun () ->
                         burn 50;
-                        Screen.Proved)
+                        true)
                       ())))
         in
         (match verdict_at 1 with
@@ -227,9 +233,11 @@ let corpus_tests =
     ( "pair corpus: cascade vectors = Omega-only vectors",
       `Quick,
       fun () ->
-        let omega_only = with_backend Portfolio.Omega pair_lines in
+        let omega_only =
+          with_tiers ~screen:false ~fast:true pair_lines
+        in
         Portfolio.Stats.reset ();
-        let cascaded = with_backend Portfolio.Cascade pair_lines in
+        let cascaded = pair_lines () in
         let tiers = Portfolio.Stats.current () in
         check bool_t "pair corpus is non-trivial" true (omega_only <> []);
         check (Alcotest.list str_t) "identical dependence vectors" omega_only

@@ -634,8 +634,8 @@ let governance_paths =
   [
     "queries"; "gave_up"; "gave_up.fuel"; "gave_up.splinters";
     "gave_up.disjuncts"; "gave_up.deadline"; "gave_up.injected";
-    "gave_up.incomplete"; "peak_fuel"; "peak_splinters"; "worst_query";
-    "worst_fuel"; "replayed_gave_up"; "backend"
+    "peak_fuel"; "peak_splinters"; "worst_query";
+    "worst_fuel"; "replayed_gave_up"
   ]
   @ tier_paths
 
@@ -648,7 +648,7 @@ let stats_paths =
     "memo.size"; "memo.capacity"; "memo.evictions"; "memo.program_hit";
     "memo_hit_rate"; "program_cache"; "program_cache.hits";
     "program_cache.misses"; "program_cache.admissions"; "program_cache.size";
-    "program_cache.evictions"; "backend"
+    "program_cache.evictions"
   ]
   @ tier_paths
   @ [
@@ -665,7 +665,7 @@ let health_paths =
     "memo.misses"; "memo.size"; "memo.capacity"; "memo.evictions";
     "memo.program_hit"; "program_cache"; "program_cache.hits";
     "program_cache.misses"; "program_cache.admissions"; "program_cache.size";
-    "program_cache.evictions"; "backend"
+    "program_cache.evictions"
   ]
   @ tier_paths
 
